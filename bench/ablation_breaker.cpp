@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
   const std::string json_path = parse_json_path(argc, argv);
   print_header("Ablation",
                "toolchain-outage cost with vs without the circuit breaker",
-               args);
+               args, "milliseconds per request train (total) and per request (mean)");
 
   // A compiler that hangs until the runner's SIGTERM→SIGKILL escalation
   // ends it: the worst toolchain failure mode (a fast `exit 1` would make

@@ -65,7 +65,7 @@ int main(int argc, char** argv) {
     return 0;
   }
   print_header("Ablation C", "emitted C (cc -O2, dlopen) vs in-process executor",
-               args);
+               args, kUsPerVector);
 
   Table table({"circuit", "executor", "emitted C", "C/executor", "agree"});
   for (const std::string& name : args.circuits) {

@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
   using namespace udsim::bench;
   const BenchArgs args = BenchArgs::parse(argc, argv);
   const std::string json_path = parse_json_path(argc, argv);
-  print_header("Ablation", "observability overhead (counters off vs on)", args);
+  print_header("Ablation", "observability overhead (counters off vs on)", args, kUsPerVector);
 
   Table table({"circuit", "gates", "off us/vec", "on us/vec", "overhead",
                "exec.ops", "exec.shift_ops"});

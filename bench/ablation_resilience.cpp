@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
   const BenchArgs args = BenchArgs::parse(argc, argv);
   const std::string json_path = parse_json_path(argc, argv);
   print_header("Ablation", "resilience overhead (cancel poll off/on, checkpoint cost)",
-               args);
+               args, kUsPerVector);
 
   Table table({"circuit", "gates", "off us/vec", "on us/vec", "ddl us/vec",
                "on ovh", "ddl ovh", "ck write us", "ck restore us", "ck bytes"});
@@ -96,13 +96,11 @@ int main(int argc, char** argv) {
       const auto pr = compiled.final_probe(po);
       probes.push_back({pr.word, pr.bit});
     }
-    std::vector<std::uint64_t> in64(w.bits.size());
-    for (std::size_t i = 0; i < in64.size(); ++i) in64[i] = w.bits[i];
     FaultInjector inject(args.seed);
     inject.add_site({FaultSite::DeadlineOverrun, 0, w.vectors / 2, 0});
     BatchRunner stopper(compiled.program, probes,
                         BatchOptions{.num_threads = 1, .inject = &inject});
-    const ResilientBatch r = stopper.run_resilient(in64, w.vectors);
+    const ResilientBatch r = stopper.run_resilient(w.bits, w.vectors);
     if (r.status != RunStatus::DeadlineExpired || r.checkpoint.shards.empty()) {
       std::fprintf(stderr, "%s: expected a mid-run checkpoint\n", name.c_str());
       return 1;

@@ -89,7 +89,7 @@ int main(int argc, char** argv) {
   const std::string json_path = parse_json_path(argc, argv);
   print_header("Ablation",
                "service latency under offered load (p50/p95/p99, refusal rates)",
-               args);
+               args, "microseconds per request");
 
   // One fixed, deliberately small service: 2 request workers over a queue of
   // 8 slots makes "overload" reachable with a handful of client threads.

@@ -76,7 +76,7 @@ int main(int argc, char** argv) {
   const BenchArgs args = BenchArgs::parse(argc, argv);
   const std::vector<unsigned> thread_list = parse_thread_list(argc, argv);
   const std::string json_path = parse_json_path(argc, argv);
-  print_header("Ablation", "batch simulation throughput vs worker threads", args);
+  print_header("Ablation", "batch simulation throughput vs worker threads", args, kUsPerVector);
   std::printf("hardware threads: %u\n\n", ThreadPool::hardware_threads());
 
   Table table({"circuit", "threads", "us/vec", "speedup"});
@@ -92,8 +92,7 @@ int main(int argc, char** argv) {
     }
     // Inputs prepared outside the timed region, as everywhere in bench/.
     const Workload w(nl.primary_inputs().size(), args.vectors, args.seed + 100);
-    std::vector<std::uint64_t> in(w.bits.size());
-    for (std::size_t i = 0; i < in.size(); ++i) in[i] = w.bits[i];
+    const std::vector<Bit>& in = w.bits;
 
     CircuitResult cr{name, nl.real_gate_count(), {}};
     std::vector<Bit> reference;

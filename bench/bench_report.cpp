@@ -23,10 +23,10 @@
 // compiler; --no-native skips it explicitly. Extra rows never trip --check:
 // the baseline's rows are what is compared.
 //
-// Width rows: per circuit, the packed LCC data-parallel runner is measured
-// once per available lane width (lcc-packed rows, one vector per word bit —
-// DESIGN.md §5j), the row set where the 128/256-bit executors show their
-// throughput win over 64-bit. --widths restricts the list; --no-packed
+// Width rows: per circuit, zero-delay LCC's run_batch is measured once per
+// available lane width (lcc-packed rows; the batch layer runs one vector
+// per word bit — DESIGN.md §5c, §5j), the row set where the 128/256-bit
+// executors show their throughput win over 64-bit. --widths restricts the list; --no-packed
 // skips the rows. Widths this build/CPU cannot run are skipped, and --check
 // reports the coverage loss when the baseline had them.
 //

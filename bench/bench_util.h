@@ -165,11 +165,16 @@ inline const PaperRow* paper_row(const std::string& name) {
   return nullptr;
 }
 
-inline void print_header(const char* fig, const char* what, const BenchArgs& a) {
+/// `unit` names what the printed times measure, e.g. "microseconds per
+/// vector" or "microseconds per request".
+inline void print_header(const char* fig, const char* what, const BenchArgs& a,
+                         const char* unit) {
   std::printf("=== %s: %s ===\n", fig, what);
   std::printf("(%zu vectors/run, median of %d trials, seed %llu; times in "
-              "microseconds per vector)\n\n",
-              a.vectors, a.trials, static_cast<unsigned long long>(a.seed));
+              "%s)\n\n",
+              a.vectors, a.trials, static_cast<unsigned long long>(a.seed), unit);
 }
+
+inline constexpr const char* kUsPerVector = "microseconds per vector";
 
 }  // namespace udsim::bench

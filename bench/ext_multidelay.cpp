@@ -16,7 +16,7 @@ int main(int argc, char** argv) {
   using namespace udsim;
   using namespace udsim::bench;
   const BenchArgs args = BenchArgs::parse(argc, argv);
-  print_header("Extension", "multi-delay timing model (D = max gate delay)", args);
+  print_header("Extension", "multi-delay timing model (D = max gate delay)", args, kUsPerVector);
 
   Table table({"D", "levels", "interp3", "pcset", "parallel", "par+pt",
                "i3/pcset", "i3/par"});

@@ -15,7 +15,7 @@ int main(int argc, char** argv) {
   using namespace udsim;
   using namespace udsim::bench;
   const BenchArgs args = BenchArgs::parse(argc, argv);
-  print_header("Fig. 19", "unit-delay simulation times, four techniques", args);
+  print_header("Fig. 19", "unit-delay simulation times, four techniques", args, kUsPerVector);
 
   Table table({"circuit", "interp3", "interp2", "pcset", "parallel",
                "i3/pcset", "i3/par", "paper", "paper"});

@@ -14,7 +14,7 @@ int main(int argc, char** argv) {
   using namespace udsim::bench;
   const BenchArgs args = BenchArgs::parse(argc, argv);
   print_header("Fig. 19b", "zero-delay: interpreted selective-trace vs compiled LCC",
-               args);
+               args, kUsPerVector);
 
   Table table({"circuit", "interp_zd", "lcc", "ratio"});
   double sum = 0;

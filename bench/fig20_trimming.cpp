@@ -13,7 +13,7 @@ int main(int argc, char** argv) {
   using namespace udsim::bench;
   const BenchArgs args = BenchArgs::parse(argc, argv);
   print_header("Fig. 20", "bit-field trimming vs unoptimized parallel technique",
-               args);
+               args, kUsPerVector);
 
   Table table({"circuit", "levels(words)", "parallel", "trimmed", "gain%", "paper%"});
   double sum = 0;

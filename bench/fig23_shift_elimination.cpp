@@ -16,7 +16,7 @@ int main(int argc, char** argv) {
   using namespace udsim::bench;
   const BenchArgs args = BenchArgs::parse(argc, argv);
   print_header("Fig. 23", "shift elimination: path-tracing vs cycle-breaking",
-               args);
+               args, kUsPerVector);
 
   Table table({"circuit", "unoptimized", "path-tracing", "cycle-break",
                "pt gain%", "cb gain%", "paper pt%"});

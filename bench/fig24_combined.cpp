@@ -12,7 +12,7 @@ int main(int argc, char** argv) {
   using namespace udsim;
   using namespace udsim::bench;
   const BenchArgs args = BenchArgs::parse(argc, argv);
-  print_header("Fig. 24", "path tracing + bit-field trimming", args);
+  print_header("Fig. 24", "path tracing + bit-field trimming", args, kUsPerVector);
 
   Table table({"circuit", "unoptimized", "path-tracing", "with trimming",
                "gain%", "paper%"});

@@ -6,7 +6,9 @@
 #include <stdexcept>
 #include <utility>
 
+#include "core/lane_staging.h"
 #include "core/width_dispatch.h"
+#include "ir/verify.h"
 #include "netlist/diagnostics.h"
 #include "obs/request_trace.h"
 
@@ -66,21 +68,29 @@ BatchRunner::BatchRunner(const Program& program, std::vector<ArenaProbe> probes,
     }
   }
   if (options_.min_chunk == 0) options_.min_chunk = 1;
+  // Lanes as shards: a lane-independent program settles one vector per bit
+  // lane, as long as every output is read from lane 0 of the scalar run.
+  const bool probes_lane0 = std::all_of(
+      probes_.begin(), probes_.end(), [](const ArenaProbe& p) { return p.bit == 0; });
+  if (probes_lane0 && lanes_independent(program_)) {
+    lanes_ = static_cast<unsigned>(program_.word_bits);
+  }
   exec_ = ExecCounters::attach(options_.metrics, program_, options_.extra_pass_cost);
 }
 
 std::size_t BatchRunner::shard_count(std::size_t num_vectors) const noexcept {
   if (num_vectors == 0) return 0;
+  const std::size_t passes = (num_vectors + lanes_ - 1) / lanes_;
+  const std::size_t chunk = (options_.min_chunk + lanes_ - 1) / lanes_;
   const std::size_t by_threads = pool_.threads();
-  const std::size_t by_chunk =
-      (num_vectors + options_.min_chunk - 1) / options_.min_chunk;
+  const std::size_t by_chunk = (passes + chunk - 1) / chunk;
   return std::max<std::size_t>(1, std::min(by_threads, by_chunk));
 }
 
 template <class Word>
-void BatchRunner::run_shard(std::span<const std::uint64_t> inputs,
-                            std::size_t shard_index, ShardSlot& slot,
-                            std::span<Bit> out, unsigned attempt) {
+void BatchRunner::run_shard(std::span<const Bit> inputs, std::size_t shard_index,
+                            ShardSlot& slot, std::span<Bit> out,
+                            unsigned attempt) {
   if (slot.next >= slot.end) return;  // resumed already-finished shard
   const std::size_t iw = program_.input_words;
   MetricsRegistry* const reg = options_.metrics;
@@ -105,16 +115,48 @@ void BatchRunner::run_shard(std::span<const std::uint64_t> inputs,
   }
   KernelRunner<Word> runner(program_);
   std::vector<Word> row(iw);
+  const std::size_t cols = probes_.size();
+  const bool packed = lanes_ > 1;
+  // Packed passes stage through uint64 carrier lanes, kL per word.
+  constexpr std::size_t kL = kWordU64Lanes<Word>;
+  std::vector<std::uint64_t> staged(packed ? std::max(iw, cols) * kL : 0);
   const auto load = [&](std::size_t v) {
-    const std::uint64_t* src = inputs.data() + v * iw;
-    for (std::size_t i = 0; i < iw; ++i) row[i] = static_cast<Word>(src[i]);
+    const Bit* src = inputs.data() + v * iw;
+    for (std::size_t i = 0; i < iw; ++i) {
+      row[i] = static_cast<Word>(std::uint64_t{src[i] & 1u});
+    }
+  };
+  // One executor pass settling vectors [v, v + n): n == 1 unless packed.
+  const auto pass = [&](std::size_t v, std::size_t n) {
+    Bit* dst = out.data() + v * cols;
+    if (!packed) {
+      load(v);
+      runner.run(row);
+      for (std::size_t j = 0; j < cols; ++j) {
+        dst[j] = runner.bit(probes_[j].word, probes_[j].bit);
+      }
+      return;
+    }
+    pack_lanes(inputs.data() + v * iw, iw, n, staged.data(), kL);
+    for (std::size_t i = 0; i < iw; ++i) {
+      row[i] = word_from_u64_lanes<Word>(&staged[i * kL]);
+    }
+    runner.run(row);
+    const std::span<const Word> arena = runner.arena();
+    for (std::size_t j = 0; j < cols; ++j) {
+      for (std::size_t l = 0; l < kL; ++l) {
+        staged[j * kL + l] = word_u64_lane(arena[probes_[j].word], l);
+      }
+    }
+    unpack_lanes(staged.data(), kL, cols, n, dst);
   };
   bool seam = false;
   if (start > slot.begin) {
     // Resume: the checkpointed arena IS the retained state after vector
-    // start-1; restoring it replaces the seam replay.
-    runner.load_arena(slot.arena);
-  } else if (slot.begin > 0) {
+    // start-1; restoring it replaces the seam replay. Packed passes retain
+    // nothing.
+    if (!packed) runner.load_arena(slot.arena);
+  } else if (slot.begin > 0 && !packed) {
     // Seam replay: the predecessor shard's final vector re-establishes the
     // retained state (previous-vector settled values); outputs discarded.
     load(slot.begin - 1);
@@ -122,15 +164,17 @@ void BatchRunner::run_shard(std::span<const std::uint64_t> inputs,
     seam = true;
   }
 
-  const std::size_t cols = probes_.size();
   CancelPoll poll(options_.cancel);
   std::size_t v = start;
+  std::uint64_t passes = 0;
   StopReason stop = StopReason::None;
   // Shared exit accounting so the fault-throwing paths count their executed
   // passes exactly like the clean path does.
   const auto account = [&] {
     if (!reg) return;
-    exec_.on_passes(v - start);  // payload counters: thread-count invariant
+    // Payload counters: thread-count invariant.
+    exec_.on_passes(passes, v - start);
+    reg->counter("batch.passes").add(passes);
     if (seam) {
       reg->counter("batch.seam_vectors").add(1);
       reg->counter("batch.seam_ops").add(exec_.cost.ops);
@@ -142,26 +186,26 @@ void BatchRunner::run_shard(std::span<const std::uint64_t> inputs,
     // Wall-time distributions (DESIGN.md §5g): per-shard latency and the
     // amortized per-pass latency, from the two clock reads already taken.
     reg->histogram("batch.shard.us").record(elapsed / 1000);
-    const std::uint64_t payload = v - start;
-    if (payload != 0) {
-      reg->histogram("batch.pass.ns").record(elapsed / payload);
-    }
+    if (passes != 0) reg->histogram("batch.pass.ns").record(elapsed / passes);
   };
 
-  for (; v < slot.end; ++v) {
+  // Polls and fault sites apply once per pass; a planted site fires on the
+  // pass whose vectors [v, v + n) cover it.
+  while (v < slot.end) {
+    const std::size_t n = std::min<std::size_t>(lanes_, slot.end - v);
     stop = poll.poll();  // one relaxed load + branch (dead branch when null)
     if (inj != nullptr) {
       if (stop == StopReason::None &&
-          inj->fire(FaultSite::DeadlineOverrun, shard_index, v, attempt)) {
+          inj->fire(FaultSite::DeadlineOverrun, shard_index, v, attempt, n)) {
         metric_add(reg, "resil.injected", 1);
         stop = StopReason::Deadline;
       }
-      if (inj->fire(FaultSite::WorkerThrow, shard_index, v, attempt)) {
+      if (inj->fire(FaultSite::WorkerThrow, shard_index, v, attempt, n)) {
         metric_add(reg, "resil.injected", 1);
         account();
         throw InjectedFault(FaultSite::WorkerThrow, shard_index, v, attempt);
       }
-      if (inj->fire(FaultSite::ArenaCorrupt, shard_index, v, attempt)) {
+      if (inj->fire(FaultSite::ArenaCorrupt, shard_index, v, attempt, n)) {
         metric_add(reg, "resil.injected", 1);
         const std::span<Word> arena = runner.mutable_arena();
         if (!arena.empty()) {
@@ -175,25 +219,23 @@ void BatchRunner::run_shard(std::span<const std::uint64_t> inputs,
       }
     }
     if (stop != StopReason::None) break;
-    load(v);
-    runner.run(row);
-    Bit* dst = out.data() + v * cols;
-    for (std::size_t j = 0; j < cols; ++j) {
-      dst[j] = runner.bit(probes_[j].word, probes_[j].bit);
-    }
+    pass(v, n);
+    v += n;
+    ++passes;
   }
 
   slot.next = v;
   slot.stop = stop;
-  if (stop != StopReason::None && v > slot.begin) {
-    runner.save_arena(slot.arena);  // the one piece of cross-vector state
+  if (stop != StopReason::None && v > slot.begin && !packed) {
+    // The one piece of cross-vector state; packed passes retain none.
+    runner.save_arena(slot.arena);
   } else {
     slot.arena.clear();
   }
   account();
 }
 
-void BatchRunner::run_shard_any(std::span<const std::uint64_t> inputs,
+void BatchRunner::run_shard_any(std::span<const Bit> inputs,
                                 std::size_t shard_index, ShardSlot& slot,
                                 std::span<Bit> out, unsigned attempt) {
   switch (program_.word_bits) {
@@ -214,7 +256,7 @@ void BatchRunner::run_shard_any(std::span<const std::uint64_t> inputs,
   }
 }
 
-void BatchRunner::run_shard_guarded(std::span<const std::uint64_t> inputs,
+void BatchRunner::run_shard_guarded(std::span<const Bit> inputs,
                                     std::size_t shard_index, ShardSlot& slot,
                                     std::span<Bit> out) {
   MetricsRegistry* const reg = options_.metrics;
@@ -249,7 +291,7 @@ void BatchRunner::run_shard_guarded(std::span<const std::uint64_t> inputs,
   }
 }
 
-std::vector<Bit> BatchRunner::run(std::span<const std::uint64_t> inputs,
+std::vector<Bit> BatchRunner::run(std::span<const Bit> inputs,
                                   std::size_t num_vectors) {
   ResilientBatch r = run_resilient(inputs, num_vectors, nullptr);
   if (r.status != RunStatus::Complete) {
@@ -260,7 +302,7 @@ std::vector<Bit> BatchRunner::run(std::span<const std::uint64_t> inputs,
   return std::move(r.values);
 }
 
-ResilientBatch BatchRunner::run_resilient(std::span<const std::uint64_t> inputs,
+ResilientBatch BatchRunner::run_resilient(std::span<const Bit> inputs,
                                           std::size_t num_vectors,
                                           const BatchCheckpoint* resume) {
   const std::size_t iw = program_.input_words;
@@ -277,14 +319,19 @@ ResilientBatch BatchRunner::run_resilient(std::span<const std::uint64_t> inputs,
   if (reg) {
     reg->counter("batch.runs").add(1);
     reg->counter("batch.threads").set(pool_.threads());
+    reg->counter("batch.lanes").set(lanes_);
   }
 
-  const std::size_t quot = num_vectors / shards;
-  const std::size_t rem = num_vectors % shards;
+  // Whole passes per shard, spread as evenly as they divide.
+  const std::size_t passes = (num_vectors + lanes_ - 1) / lanes_;
+  const std::size_t quot = passes / shards;
+  const std::size_t rem = passes % shards;
   std::vector<ShardSlot> slots(shards);
   for (std::size_t s = 0; s < shards; ++s) {
-    slots[s].begin = s * quot + std::min(s, rem);
-    slots[s].end = slots[s].begin + quot + (s < rem ? 1 : 0);
+    const std::size_t first = s * quot + std::min(s, rem);
+    const std::size_t last = first + quot + (s < rem ? 1 : 0);
+    slots[s].begin = first * lanes_;
+    slots[s].end = std::min(num_vectors, last * lanes_);
     slots[s].next = slots[s].begin;
   }
 
@@ -309,11 +356,17 @@ ResilientBatch BatchRunner::run_resilient(std::span<const std::uint64_t> inputs,
       if (sc.begin != slots[s].begin || sc.end != slots[s].end) {
         geometry("shard " + std::to_string(s) + " boundaries differ");
       }
-      if (sc.next > sc.begin && sc.next < sc.end &&
-          sc.arena.size() != carrier_words(program_)) {
+      const bool mid_stream = sc.next > sc.begin && sc.next < sc.end;
+      if (mid_stream && lanes_ == 1 && sc.arena.size() != carrier_words(program_)) {
         throw CheckpointError(CheckpointError::Kind::Corrupt,
                               "checkpoint shard " + std::to_string(s) +
                                   " is mid-stream but carries no arena");
+      }
+      if (mid_stream && (sc.next - sc.begin) % lanes_ != 0) {
+        throw CheckpointError(CheckpointError::Kind::Corrupt,
+                              "checkpoint shard " + std::to_string(s) +
+                                  " stops inside a " + std::to_string(lanes_) +
+                                  "-lane pass");
       }
       slots[s].next = sc.next;
       slots[s].arena = sc.arena;
@@ -376,7 +429,8 @@ ResilientBatch BatchRunner::run_resilient(std::span<const std::uint64_t> inputs,
                                                   : "resil.deadline",
              1);
   // Assemble the resumable snapshot: per shard, the resume point, the
-  // settled arena (mid-stream shards only) and the completed output rows.
+  // settled arena (mid-stream one-vector-per-pass shards only) and the
+  // completed output rows.
   BatchCheckpoint& ck = result.checkpoint;
   ck.word_bits = static_cast<std::uint32_t>(program_.word_bits);
   ck.arena_words = program_.arena_words;

@@ -11,13 +11,22 @@
 // That one discarded pass is the entire synchronization cost; shards never
 // communicate while running.
 //
+// Lanes as shards (DESIGN.md §5c): a program with no cross-vector state at
+// all and only lane-wise ops (ir/verify.h lanes_independent — today the
+// zero-delay LCC program, which loads whole input words) settles word_bits
+// vectors per pass instead: lane k of a pass carries vector base + k. The
+// stream is block-transposed into input words and the probe words back into
+// rows (core/lane_staging.h). Shard boundaries then fall on multiples of
+// the lane count and need no seam replay; every other program keeps one
+// vector per pass.
+//
 // Determinism guarantee: run() returns the same bits for every thread
 // count, equal to a sequential KernelRunner replay from the reset arena
 // (enforced by tests/batch_runner_test.cpp).
 //
 // Resilience (DESIGN.md §5f): the same one-piece-of-state property makes
 // shards independently retryable and the run checkpointable. run_resilient()
-// polls a CancelToken once per vector pass and, instead of tearing the run
+// polls a CancelToken once per executor pass and, instead of tearing the run
 // down, returns a structured ResilientBatch whose BatchCheckpoint resumes
 // bit-identically; a shard whose body throws is retried from its seam up to
 // `retry_limit` times and then quarantined — replayed sequentially on the
@@ -49,15 +58,17 @@ struct BatchOptions {
   unsigned num_threads = 0;    ///< worker threads; 0 = all hardware threads
   std::size_t min_chunk = 16;  ///< smallest shard worth a seam-replay pass
   /// Optional observability sink (DESIGN.md §5e). Payload passes bump the
-  /// exact execution counters (sim.vectors, exec.*) — identical for every
-  /// thread count; the sharding cost itself is recorded separately
-  /// (batch.seam_vectors / batch.seam_ops, per-shard batch.shard.* timings)
-  /// so the payload counters stay a cross-thread-count invariant.
+  /// exact execution counters (sim.vectors counts vectors; exec.* and
+  /// batch.passes count passes, so exec.ops == compile.ops × batch.passes)
+  /// — identical for every thread count; the sharding cost itself is
+  /// recorded separately (batch.seam_vectors / batch.seam_ops, per-shard
+  /// batch.shard.* timings) so the payload counters stay a
+  /// cross-thread-count invariant. batch.lanes holds the vectors per pass.
   MetricsRegistry* metrics = nullptr;
   /// Engine-specific per-pass constants added per payload pass (see
   /// ExecCounters::attach extras).
-  std::vector<std::pair<std::string, std::uint64_t>> extra_pass_cost;
-  /// Cooperative stop: polled once per vector pass (one relaxed load + one
+  std::vector<std::pair<std::string, std::uint64_t>> extra_pass_cost{};
+  /// Cooperative stop: polled once per executor pass (one relaxed load + one
   /// branch; one dead branch when null). run() raises Cancelled; the
   /// resilient entry point returns a checkpoint instead.
   const CancelToken* cancel = nullptr;
@@ -100,10 +111,11 @@ struct ResilientBatch {
 
 /// Runs a vector stream through one compiled `Program` on a worker pool:
 /// one private KernelRunner arena per shard, seam replay at shard
-/// boundaries, outputs merged in submission order. Works over any program
-/// the compiled engines produce (LCC, PC-set, parallel and its optimized
-/// variants) at any dispatched word size (32/64/128/256 bits; wide arenas
-/// checkpoint as word_bits/64 uint64 carrier lanes per word).
+/// boundaries (or lanes as shards for lane-independent programs), outputs
+/// merged in submission order. Works over any program the compiled engines
+/// produce (LCC, PC-set, parallel and its optimized variants) at any
+/// dispatched word size (32/64/128/256 bits; wide arenas checkpoint as
+/// word_bits/64 uint64 carrier lanes per word).
 class BatchRunner {
  public:
   /// `probes` are the arena bits to sample after every vector (one output
@@ -112,14 +124,14 @@ class BatchRunner {
               BatchOptions options = {});
 
   /// Run `num_vectors` vectors. `inputs` is row-major with
-  /// `program.input_words` words per vector (uint64 carrier, truncated to
-  /// the program's word size). Returns a row-major Bit matrix of
-  /// `num_vectors` rows × `probes().size()` columns, in submission order.
+  /// `program.input_words` Bits per vector; bit 0 of each is the value.
+  /// Returns a row-major Bit matrix of `num_vectors` rows ×
+  /// `probes().size()` columns, in submission order.
   /// With a cancel token attached, an early stop raises Cancelled (the
   /// partial work is discarded; state is never torn). `num_vectors == 0`
   /// short-circuits to an empty result: no seam replay, no pool dispatch,
   /// no metrics traffic.
-  [[nodiscard]] std::vector<Bit> run(std::span<const std::uint64_t> inputs,
+  [[nodiscard]] std::vector<Bit> run(std::span<const Bit> inputs,
                                      std::size_t num_vectors);
 
   /// run() with structured stop handling: cancellation/deadline returns a
@@ -131,7 +143,7 @@ class BatchRunner {
   /// and rethrows a shard's error only after its sequential quarantine
   /// replay also failed.
   [[nodiscard]] ResilientBatch run_resilient(
-      std::span<const std::uint64_t> inputs, std::size_t num_vectors,
+      std::span<const Bit> inputs, std::size_t num_vectors,
       const BatchCheckpoint* resume = nullptr);
 
   [[nodiscard]] unsigned num_threads() const noexcept { return pool_.threads(); }
@@ -139,9 +151,14 @@ class BatchRunner {
     return probes_;
   }
 
+  /// Vectors one executor pass settles: the program's word_bits when the
+  /// program is lane-independent and every probe samples bit 0, else 1.
+  [[nodiscard]] unsigned lanes() const noexcept { return lanes_; }
+
   /// Shards a run of `num_vectors` would be split into: one per thread,
   /// but never below `min_chunk` vectors each (a seam replay must stay
-  /// amortized) and never more than the vector count.
+  /// amortized) and never more than the pass count. Shards hold whole
+  /// passes, so with lanes() > 1 their boundaries are multiples of it.
   [[nodiscard]] std::size_t shard_count(std::size_t num_vectors) const noexcept;
 
  private:
@@ -158,19 +175,18 @@ class BatchRunner {
   };
 
   template <class Word>
-  void run_shard(std::span<const std::uint64_t> inputs, std::size_t shard_index,
+  void run_shard(std::span<const Bit> inputs, std::size_t shard_index,
                  ShardSlot& slot, std::span<Bit> out, unsigned attempt);
-  void run_shard_any(std::span<const std::uint64_t> inputs,
-                     std::size_t shard_index, ShardSlot& slot,
-                     std::span<Bit> out, unsigned attempt);
+  void run_shard_any(std::span<const Bit> inputs, std::size_t shard_index,
+                     ShardSlot& slot, std::span<Bit> out, unsigned attempt);
   /// Retry loop around run_shard; sets slot.quarantined instead of throwing.
-  void run_shard_guarded(std::span<const std::uint64_t> inputs,
-                         std::size_t shard_index, ShardSlot& slot,
-                         std::span<Bit> out);
+  void run_shard_guarded(std::span<const Bit> inputs, std::size_t shard_index,
+                         ShardSlot& slot, std::span<Bit> out);
 
   const Program& program_;
   std::vector<ArenaProbe> probes_;
   BatchOptions options_;
+  unsigned lanes_ = 1;  ///< vectors per pass (see lanes())
   ThreadPool pool_;
   ExecCounters exec_;  ///< payload-pass counters (disengaged without metrics)
 };

@@ -76,25 +76,6 @@ std::vector<ArenaProbe> batch_probes(const Engine& e, const Netlist& nl) {
   return probes;
 }
 
-/// Validate the flat stream shape and return the vector count.
-std::size_t batch_vector_count(const Netlist& nl, std::span<const Bit> vectors) {
-  const std::size_t pis = nl.primary_inputs().size();
-  if (pis == 0) {
-    if (!vectors.empty()) {
-      throw std::invalid_argument("run_batch: stream of " +
-                                  std::to_string(vectors.size()) +
-                                  " bits given but the netlist has no primary inputs");
-    }
-    return 0;
-  }
-  if (vectors.size() % pis != 0) {
-    throw std::invalid_argument(
-        "run_batch: stream size " + std::to_string(vectors.size()) +
-        " is not a multiple of the primary-input count " + std::to_string(pis));
-  }
-  return vectors.size() / pis;
-}
-
 template <class Engine>
 class EngineAdapter final : public Simulator {
  public:
@@ -174,18 +155,15 @@ class EngineAdapter final : public Simulator {
                     std::size_t count, unsigned num_threads,
                     MetricsRegistry* metrics, const CancelToken* cancel,
                     BatchResult& r) const {
-    const std::size_t pis = nl_.primary_inputs().size();
-    if (program.input_words != pis) {
+    if (program.input_words != nl_.primary_inputs().size()) {
       throw std::logic_error("run_batch: program is not in scalar input mode");
     }
-    std::vector<std::uint64_t> in(count * pis);
-    for (std::size_t i = 0; i < in.size(); ++i) in[i] = vectors[i] & 1;
     BatchRunner batch(program, batch_probes(engine_, nl_),
                       BatchOptions{.num_threads = num_threads,
                                    .metrics = metrics,
                                    .extra_pass_cost = batch_extras(engine_),
                                    .cancel = cancel});
-    r.values = batch.run(in, count);
+    r.values = batch.run(vectors, count);
     r.threads = batch.num_threads();
   }
 
@@ -344,6 +322,25 @@ class BreakerAttempt {
 };
 
 }  // namespace
+
+std::size_t batch_vector_count(const Netlist& nl, std::span<const Bit> vectors,
+                               std::string_view site) {
+  const std::size_t pis = nl.primary_inputs().size();
+  if (pis == 0) {
+    if (!vectors.empty()) {
+      throw std::invalid_argument(std::string(site) + ": stream of " +
+                                  std::to_string(vectors.size()) +
+                                  " bits given but the netlist has no primary inputs");
+    }
+    return 0;
+  }
+  if (vectors.size() % pis != 0) {
+    throw std::invalid_argument(
+        std::string(site) + ": stream size " + std::to_string(vectors.size()) +
+        " is not a multiple of the primary-input count " + std::to_string(pis));
+  }
+  return vectors.size() / pis;
+}
 
 std::unique_ptr<Simulator> make_simulator(const Netlist& nl, EngineKind kind) {
   const WidthChoice w = dispatch_width();

@@ -37,6 +37,16 @@ struct BatchResult {
   }
 };
 
+/// Validate a row-major stream (one Bit per primary input per vector)
+/// against `nl` and return its vector count: the one stream-shape check of
+/// every batch entry point. Throws std::invalid_argument naming both sizes,
+/// prefixed with `site`, when the size is not a multiple of the
+/// primary-input count or the netlist has no primary inputs but the stream
+/// is not empty.
+[[nodiscard]] std::size_t batch_vector_count(const Netlist& nl,
+                                             std::span<const Bit> vectors,
+                                             std::string_view site = "run_batch");
+
 /// Per-run knobs of Simulator::run_batch. `cancel` and `metrics` override
 /// the instance-wide set_cancel / set_metrics attachments *for this run
 /// only* (nullptr = inherit the attachment). The overrides are what lets a

@@ -4,57 +4,6 @@
 
 namespace udsim {
 
-namespace {
-
-struct OpShape {
-  bool reads_a_arena;   ///< a is an arena index (vs an input index)
-  bool reads_b;
-  bool reads_dst;       ///< dst is read-modify-write
-  bool uses_imm_shift;  ///< imm must be a shift amount
-  bool imm_nonzero;     ///< funnel shifts exclude 0
-};
-
-OpShape shape_of(OpCode c) {
-  switch (c) {
-    case OpCode::Const:
-      return {false, false, false, false, false};
-    case OpCode::Copy:
-    case OpCode::Not:
-      return {true, false, false, false, false};
-    case OpCode::And:
-    case OpCode::Or:
-    case OpCode::Xor:
-    case OpCode::Nand:
-    case OpCode::Nor:
-    case OpCode::Xnor:
-      return {true, true, false, false, false};
-    case OpCode::AccAnd:
-    case OpCode::AccOr:
-    case OpCode::AccXor:
-      return {true, false, true, false, false};
-    case OpCode::MaskedCopy:
-      return {true, true, true, false, false};
-    case OpCode::LoadBit:
-    case OpCode::LoadBcast:
-    case OpCode::LoadWord:
-      return {false, false, false, false, false};
-    case OpCode::ExtractBit:
-    case OpCode::BcastBit:
-    case OpCode::Shl:
-    case OpCode::Shr:
-      return {true, false, false, true, false};
-    case OpCode::ShlOr:
-    case OpCode::MaskShlOr:
-      return {true, false, true, true, false};
-    case OpCode::FunnelL:
-    case OpCode::FunnelR:
-      return {true, true, false, true, true};
-  }
-  return {};
-}
-
-}  // namespace
-
 std::string verify_program(const Program& p, const VerifyOptions& opts) {
   const auto W = static_cast<unsigned>(p.word_bits);
   if (W != 32 && W != 64 && W != 128 && W != 256) {
@@ -74,12 +23,10 @@ std::string verify_program(const Program& p, const VerifyOptions& opts) {
 
   for (std::size_t i = 0; i < p.ops.size(); ++i) {
     const Op& op = p.ops[i];
-    const OpShape s = shape_of(op.code);
+    const OpShape s = op_shape(op.code);
     const auto where = [&] { return " at op " + std::to_string(i); };
     if (op.dst >= p.arena_words) return "dst out of bounds" + where();
-    const bool is_load = op.code == OpCode::LoadBit || op.code == OpCode::LoadBcast ||
-                         op.code == OpCode::LoadWord;
-    if (is_load) {
+    if (s.loads_input) {
       if (op.a >= p.input_words) return "input index out of bounds" + where();
     } else if (s.reads_a_arena) {
       if (op.a >= p.arena_words) return "operand a out of bounds" + where();
@@ -103,6 +50,39 @@ std::string verify_program(const Program& p, const VerifyOptions& opts) {
     written[op.dst] = true;
   }
   return {};
+}
+
+bool lanes_independent(const Program& p) {
+  std::vector<bool> written(p.arena_words, false);
+  std::vector<bool> read_first(p.arena_words, false);
+  const auto read = [&](std::uint32_t w) {
+    if (w >= p.arena_words) return false;
+    if (!written[w]) read_first[w] = true;
+    return true;
+  };
+  for (const Op& op : p.ops) {
+    const OpShape s = op_shape(op.code);
+    if (!s.lane_wise || op.dst >= p.arena_words) return false;
+    if (s.reads_a_arena && !read(op.a)) return false;
+    if (s.reads_b && !read(op.b)) return false;
+    if (s.reads_dst && !read(op.dst)) return false;
+    written[op.dst] = true;
+  }
+  // A word read before the pass writes it carries the previous pass's value
+  // — unless no op ever writes it, in which case it holds its init value
+  // (zero when absent) on every pass, the same in every lane if uniform.
+  std::vector<std::uint64_t> init(p.arena_words, 0);
+  for (const Program::InitWord& iw : p.arena_init) {
+    if (iw.index < p.arena_words) init[iw.index] = iw.value;
+  }
+  const std::uint64_t ones =
+      p.word_bits == 32 ? std::uint64_t{0xffffffffu} : ~std::uint64_t{0};
+  for (std::uint32_t w = 0; w < p.arena_words; ++w) {
+    if (!read_first[w]) continue;
+    const std::uint64_t v = init[w] & ones;
+    if (written[w] || (v != 0 && v != ones)) return false;
+  }
+  return true;
 }
 
 }  // namespace udsim

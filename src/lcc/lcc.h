@@ -35,17 +35,19 @@ struct LccCompiled {
 [[nodiscard]] LccCompiled compile_lcc(const Netlist& nl, bool packed,
                                       int word_bits, const CompileGuard& guard);
 
-/// Convenience runtime wrapper (scalar mode).
+/// Convenience runtime wrapper. Compiles in packed mode: step() feeds 0/1
+/// words and reads lane 0, exactly like scalar mode, while the program stays
+/// lane-independent so the batch layer can run one vector per lane
+/// (core/batch_runner.h).
 template <class Word = std::uint32_t>
 class LccSim {
  public:
   explicit LccSim(const Netlist& nl)
-      : nl_(nl), compiled_(compile_lcc(nl, false, static_cast<int>(sizeof(Word) * 8))),
+      : nl_(nl), compiled_(compile_lcc(nl, /*packed=*/true, kBits)),
         runner_(compiled_.program) {}
 
   LccSim(const Netlist& nl, const CompileGuard& guard)
-      : nl_(nl),
-        compiled_(compile_lcc(nl, false, static_cast<int>(sizeof(Word) * 8), guard)),
+      : nl_(nl), compiled_(compile_lcc(nl, /*packed=*/true, kBits, guard)),
         runner_(compiled_.program) {}
 
   // runner_ references compiled_.program; relocation would dangle.
@@ -74,6 +76,8 @@ class LccSim {
   void set_cancel(const CancelToken* token) noexcept { runner_.set_cancel(token); }
 
  private:
+  static constexpr int kBits = static_cast<int>(sizeof(Word) * 8);
+
   const Netlist& nl_;
   LccCompiled compiled_;
   KernelRunner<Word> runner_;

@@ -92,18 +92,7 @@ ProgramProfile NativeSimulator::program_profile(std::size_t top_k) const {
 BatchResult NativeSimulator::run_batch(std::span<const Bit> vectors,
                                        const BatchRunOptions& opts) const {
   const std::size_t pis = nl_.primary_inputs().size();
-  if (pis == 0) {
-    if (!vectors.empty()) {
-      throw std::invalid_argument(
-          "run_batch: stream of " + std::to_string(vectors.size()) +
-          " bits given but the netlist has no primary inputs");
-    }
-  } else if (vectors.size() % pis != 0) {
-    throw std::invalid_argument(
-        "run_batch: stream size " + std::to_string(vectors.size()) +
-        " is not a multiple of the primary-input count " + std::to_string(pis));
-  }
-  const std::size_t count = pis == 0 ? 0 : vectors.size() / pis;
+  const std::size_t count = batch_vector_count(nl_, vectors);
 
   BatchResult r;
   r.outputs = nl_.primary_outputs();

@@ -4,7 +4,6 @@
 #include <span>
 
 #include "analysis/compile_budget.h"
-#include "core/packed_runner.h"
 #include "core/simulator.h"
 #include "core/width_dispatch.h"
 #include "harness/timer.h"
@@ -43,11 +42,14 @@ namespace {
   return stream;
 }
 
+/// One row: `kind` built at the dispatched `word_bits` (0 = the 32-bit
+/// default) outside the timed loop, then timed through run_batch.
 [[nodiscard]] BenchEngineResult measure_engine(const Netlist& nl,
                                                EngineKind kind,
                                                unsigned threads,
                                                std::span<const Bit> stream,
-                                               const BenchRunConfig& cfg) {
+                                               const BenchRunConfig& cfg,
+                                               int word_bits = 0) {
   BenchEngineResult row;
   row.engine = bench_engine_slug(kind);
   row.threads = threads;
@@ -55,7 +57,7 @@ namespace {
   MetricsRegistry reg;
   CompileGuard guard;
   guard.metrics = &reg;
-  auto sim = make_simulator(nl, kind, guard);
+  auto sim = make_simulator(nl, kind, guard, word_bits);
   if (const Program* program = sim->compiled_program()) {
     row.word_bits = program->word_bits;
   }
@@ -94,36 +96,6 @@ namespace {
       row.arena_bytes_per_gate = static_cast<double>(est.peak_bytes) /
                                  static_cast<double>(nl.gate_count());
     }
-  }
-  return row;
-}
-
-/// One "lcc-packed" row: the packed data-parallel LCC runner at one lane
-/// width — word_bits independent vectors per executor pass, the row set
-/// where throughput scales with the dispatched width.
-[[nodiscard]] BenchEngineResult measure_packed(const Netlist& nl, int word_bits,
-                                               std::span<const Bit> stream,
-                                               const BenchRunConfig& cfg) {
-  BenchEngineResult row;
-  row.engine = "lcc-packed";
-  row.threads = 1;
-
-  // Timed runs detached from metrics, same protocol as measure_engine.
-  row.seconds = median_seconds(
-      [&] { (void)run_packed_lcc(nl, stream, word_bits); }, cfg.trials);
-  if (row.seconds > 0.0) {
-    row.vectors_per_sec = static_cast<double>(cfg.vectors) / row.seconds;
-    row.us_per_vector = row.seconds * 1e6 / static_cast<double>(cfg.vectors);
-  }
-
-  MetricsRegistry reg;
-  CompileGuard guard;
-  guard.metrics = &reg;
-  const PackedRunResult metered =
-      run_packed_lcc(nl, stream, word_bits, &reg, &guard);
-  row.word_bits = metered.word_bits;
-  for (const auto& [name, value] : reg.snapshot()) {
-    if (!is_nondeterministic_key(name)) row.exact.emplace(name, value);
   }
   return row;
 }
@@ -186,7 +158,12 @@ BenchReport run_bench_report(
         // A width this build/CPU lacks is skipped, not narrowed: a silent
         // fallback would produce a row labeled with a width it never ran.
         if (!width_available(w)) continue;
-        cr.engines.push_back(measure_packed(*nl, w, stream, cfg));
+        // "lcc-packed": zero-delay LCC at this lane width, which run_batch
+        // runs one vector per lane (lanes as shards, DESIGN.md §5c).
+        BenchEngineResult row =
+            measure_engine(*nl, EngineKind::ZeroDelayLcc, 1, stream, cfg, w);
+        row.engine = "lcc-packed";
+        cr.engines.push_back(std::move(row));
       }
     }
     report.circuits.push_back(std::move(cr));

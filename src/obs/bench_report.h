@@ -78,10 +78,10 @@ struct BenchRunConfig {
   /// still checks clean (check_bench_report walks the baseline's rows), and
   /// a machine without a C compiler just skips the row.
   bool with_native = false;
-  /// Also measure the packed LCC data-parallel runner ("lcc-packed" rows)
-  /// once per lane width: word_bits independent vectors per executor pass,
-  /// so throughput scales with the lane — the row set where the wide
-  /// executors show their win (DESIGN.md §5j). Empty = every width
+  /// Also measure zero-delay LCC run_batch once per lane width
+  /// ("lcc-packed" rows): the batch layer settles word_bits vectors per
+  /// executor pass, so throughput scales with the lane — the row set where
+  /// the wide executors show their win (DESIGN.md §5c, §5j). Empty = every width
   /// supported_widths() reports; widths unavailable on this build/CPU are
   /// skipped (check_bench_report then reports the coverage loss against a
   /// baseline that had them).

@@ -78,9 +78,14 @@ struct ExecCounters {
   [[nodiscard]] bool engaged() const noexcept { return vectors != nullptr; }
 
   /// Record `n` completed executor passes (relaxed atomic adds).
-  void on_passes(std::uint64_t n) const noexcept {
+  void on_passes(std::uint64_t n) const noexcept { on_passes(n, n); }
+
+  /// Record `n` passes that together settled `settled` input vectors: more
+  /// than `n` when the batch layer packs one vector per bit lane. sim.vectors
+  /// counts vectors; exec.* count `n` × the per-pass cost.
+  void on_passes(std::uint64_t n, std::uint64_t settled) const noexcept {
     if (!vectors || n == 0) return;
-    vectors->add(n);
+    vectors->add(settled);
     ops->add(cost.ops * n);
     words_written->add(cost.words_written * n);
     words_read->add(cost.words_read * n);

@@ -51,6 +51,8 @@ class CheckpointError : public std::runtime_error {
 /// lanes, truncated to the program word size at 32 bits) after vector
 /// `next - 1`; it is empty when the shard never started (`next == begin`,
 /// seam replay re-derives the state) or already finished (`next == end`).
+/// A lane-packed run (core/batch_runner.h) retains no state: it stops only
+/// on pass boundaries and leaves `arena` empty even mid-stream.
 struct ShardCheckpoint {
   std::uint64_t begin = 0;
   std::uint64_t end = 0;

@@ -47,10 +47,11 @@ InjectedFault::InjectedFault(FaultSite site, std::uint64_t shard,
       attempt_(attempt) {}
 
 bool FaultInjector::fires(FaultSite site, std::uint64_t shard,
-                          std::uint64_t vector, unsigned attempt) const noexcept {
+                          std::uint64_t vector, unsigned attempt,
+                          std::uint64_t vectors) const noexcept {
   for (const SiteSpec& s : sites_) {
-    if (s.site == site && s.shard == shard && s.vector == vector &&
-        s.attempt == attempt) {
+    if (s.site == site && s.shard == shard && s.vector >= vector &&
+        s.vector - vector < vectors && s.attempt == attempt) {
       return true;
     }
   }

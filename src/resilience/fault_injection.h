@@ -7,6 +7,11 @@
 // not flake. Sites can be planted explicitly (exact shard/vector/attempt)
 // or drawn from a seeded per-ten-thousand-passes rate; both compose.
 //
+// The batch layer asks once per executor pass. A lane-packed pass settles
+// several consecutive vectors (core/batch_runner.h), so the query carries
+// the pass's vector range: a planted site fires on the pass that covers its
+// vector, and the rate draw is keyed by the pass's first vector.
+//
 // Four fault classes cover the failure modes DESIGN.md §5f enumerates:
 //   WorkerThrow     — the shard body raises InjectedFault mid-stream
 //   ArenaCorrupt    — a settled-arena word is flipped, then trapped (stands
@@ -57,8 +62,8 @@ class InjectedFault : public std::runtime_error {
 
 class FaultInjector {
  public:
-  /// An explicit site: fires exactly when (site, shard, vector, attempt)
-  /// all match.
+  /// An explicit site: fires when (site, shard, attempt) match and the
+  /// queried pass covers `vector`.
   struct SiteSpec {
     FaultSite site = FaultSite::WorkerThrow;
     std::uint64_t shard = 0;
@@ -78,14 +83,17 @@ class FaultInjector {
     rate_max_attempt_[index(site)] = max_attempt;
   }
 
-  /// Pure decision function; record-free (use fire() on the hot path).
+  /// Pure decision function for the pass settling vectors
+  /// [vector, vector + vectors); record-free (use fire() on the hot path).
   [[nodiscard]] bool fires(FaultSite site, std::uint64_t shard,
-                           std::uint64_t vector, unsigned attempt) const noexcept;
+                           std::uint64_t vector, unsigned attempt,
+                           std::uint64_t vectors = 1) const noexcept;
 
   /// fires() plus the per-site fired counter bump.
   [[nodiscard]] bool fire(FaultSite site, std::uint64_t shard,
-                          std::uint64_t vector, unsigned attempt) noexcept {
-    if (!fires(site, shard, vector, attempt)) return false;
+                          std::uint64_t vector, unsigned attempt,
+                          std::uint64_t vectors = 1) noexcept {
+    if (!fires(site, shard, vector, attempt, vectors)) return false;
     fired_[index(site)].fetch_add(1, std::memory_order_relaxed);
     return true;
   }

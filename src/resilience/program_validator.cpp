@@ -2,57 +2,11 @@
 
 #include <vector>
 
+#include "ir/verify.h"
+
 namespace udsim {
 
 namespace {
-
-struct OpShape {
-  bool reads_a_arena;   ///< a is an arena index (vs an input index)
-  bool reads_b;
-  bool reads_dst;       ///< dst is read-modify-write
-  bool uses_imm_shift;  ///< imm must be a shift amount
-  bool imm_nonzero;     ///< funnel shifts exclude 0
-  bool loads_input;     ///< a is an input-word index
-};
-
-OpShape shape_of(OpCode c) {
-  switch (c) {
-    case OpCode::Const:
-      return {false, false, false, false, false, false};
-    case OpCode::Copy:
-    case OpCode::Not:
-      return {true, false, false, false, false, false};
-    case OpCode::And:
-    case OpCode::Or:
-    case OpCode::Xor:
-    case OpCode::Nand:
-    case OpCode::Nor:
-    case OpCode::Xnor:
-      return {true, true, false, false, false, false};
-    case OpCode::AccAnd:
-    case OpCode::AccOr:
-    case OpCode::AccXor:
-      return {true, false, true, false, false, false};
-    case OpCode::MaskedCopy:
-      return {true, true, true, false, false, false};
-    case OpCode::LoadBit:
-    case OpCode::LoadBcast:
-    case OpCode::LoadWord:
-      return {false, false, false, false, false, true};
-    case OpCode::ExtractBit:
-    case OpCode::BcastBit:
-    case OpCode::Shl:
-    case OpCode::Shr:
-      return {true, false, false, true, false, false};
-    case OpCode::ShlOr:
-    case OpCode::MaskShlOr:
-      return {true, false, true, true, false, false};
-    case OpCode::FunnelL:
-    case OpCode::FunnelR:
-      return {true, true, false, true, true, false};
-  }
-  return {};
-}
 
 constexpr std::size_t kMaxDefectRecords = 16;
 
@@ -125,7 +79,7 @@ bool validate_program(const Program& p, const ValidateOptions& opts,
                      std::to_string(static_cast<unsigned>(op.code)));
       continue;  // the shape of an unknown op is meaningless
     }
-    const OpShape s = shape_of(op.code);
+    const OpShape s = op_shape(op.code);
     if (op.dst >= p.arena_words) {
       rep.defect(DiagCode::ProgramOpBounds, at_op(i),
                  "dst word " + std::to_string(op.dst) + " outside the arena (" +

@@ -13,28 +13,6 @@
 
 namespace udsim {
 
-namespace {
-
-std::size_t vector_count_of(const Netlist& nl, std::span<const Bit> vectors) {
-  const std::size_t pis = nl.primary_inputs().size();
-  if (pis == 0) {
-    if (!vectors.empty()) {
-      throw std::invalid_argument(
-          "run_batch_resilient: vector stream given but the netlist has no "
-          "primary inputs");
-    }
-    return 0;
-  }
-  if (vectors.size() % pis != 0) {
-    throw std::invalid_argument(
-        "run_batch_resilient: stream size " + std::to_string(vectors.size()) +
-        " is not a multiple of the primary-input count " + std::to_string(pis));
-  }
-  return vectors.size() / pis;
-}
-
-}  // namespace
-
 std::chrono::nanoseconds RetryPolicy::backoff_for(unsigned retry) const noexcept {
   if (retry == 0) return std::chrono::nanoseconds{0};
   double ns = static_cast<double>(base_backoff.count());
@@ -92,7 +70,7 @@ ResilientResult run_batch_resilient(const Simulator& sim,
                                     std::span<const Bit> vectors,
                                     const ResilientOptions& opts) {
   const Netlist& nl = sim.netlist();
-  const std::size_t count = vector_count_of(nl, vectors);
+  const std::size_t count = batch_vector_count(nl, vectors, "run_batch_resilient");
   ResilientResult r;
   r.batch.outputs = nl.primary_outputs();
   r.batch.vectors = count;
@@ -137,13 +115,10 @@ ResilientResult run_batch_resilient(const Simulator& sim,
     }
   }
 
-  const std::size_t pis = nl.primary_inputs().size();
-  if (program->input_words != pis) {
+  if (program->input_words != nl.primary_inputs().size()) {
     throw std::logic_error(
         "run_batch_resilient: program is not in scalar input mode");
   }
-  std::vector<std::uint64_t> in(count * pis);
-  for (std::size_t i = 0; i < in.size(); ++i) in[i] = vectors[i] & 1;
 
   BatchRunner runner(*program, std::move(probes),
                      BatchOptions{.num_threads = opts.num_threads,
@@ -153,7 +128,7 @@ ResilientResult run_batch_resilient(const Simulator& sim,
                                   .retry_limit = opts.retry_limit,
                                   .diag = opts.diag,
                                   .trace_id = opts.trace_id});
-  ResilientBatch b = runner.run_resilient(in, count, opts.resume);
+  ResilientBatch b = runner.run_resilient(vectors, count, opts.resume);
   r.status = b.status;
   r.batch.values = std::move(b.values);
   r.batch.threads = runner.num_threads();

@@ -1,5 +1,6 @@
 #include "service/sim_service.h"
 
+#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -546,14 +547,10 @@ ServiceTicket SimService::submit(SessionId session, SimRequest req) {
   if (p->req.netlist == nullptr) {
     return refuse(Outcome::Rejected, "request carries no netlist");
   }
-  const std::size_t pis = p->req.netlist->primary_inputs().size();
-  if (pis == 0 ? !p->req.vectors.empty()
-               : p->req.vectors.size() % pis != 0) {
-    return refuse(Outcome::Rejected,
-                  "vector stream size " +
-                      std::to_string(p->req.vectors.size()) +
-                      " is not a multiple of the primary-input count " +
-                      std::to_string(pis));
+  try {
+    (void)batch_vector_count(*p->req.netlist, p->req.vectors, "submit");
+  } catch (const std::invalid_argument& e) {
+    return refuse(Outcome::Rejected, e.what());
   }
 
   // Poison quarantine: a netlist that has already failed deterministically

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "core/batch_runner.h"
+#include "core/width_dispatch.h"
 #include "gen/iscas_profiles.h"
 #include "gen/random_dag.h"
 #include "harness/vectors.h"
@@ -28,11 +29,11 @@
 namespace udsim {
 namespace {
 
-std::vector<std::uint64_t> random_inputs(std::size_t pis, std::size_t count,
-                                         std::uint64_t seed) {
+std::vector<Bit> random_inputs(std::size_t pis, std::size_t count,
+                               std::uint64_t seed) {
   RandomVectorSource src(pis, seed);
   std::vector<Bit> row(pis);
-  std::vector<std::uint64_t> in(pis * count);
+  std::vector<Bit> in(pis * count);
   for (std::size_t v = 0; v < count; ++v) {
     src.next(row);
     for (std::size_t i = 0; i < pis; ++i) in[v * pis + i] = row[i];
@@ -43,7 +44,7 @@ std::vector<std::uint64_t> random_inputs(std::size_t pis, std::size_t count,
 template <class Word>
 std::vector<Bit> sequential_replay(const Program& p,
                                    const std::vector<ArenaProbe>& probes,
-                                   const std::vector<std::uint64_t>& in,
+                                   const std::vector<Bit>& in,
                                    std::size_t count) {
   KernelRunner<Word> runner(p);
   std::vector<Word> row(p.input_words);
@@ -51,7 +52,7 @@ std::vector<Bit> sequential_replay(const Program& p,
   out.reserve(count * probes.size());
   for (std::size_t v = 0; v < count; ++v) {
     for (std::size_t i = 0; i < p.input_words; ++i) {
-      row[i] = static_cast<Word>(in[v * p.input_words + i]);
+      row[i] = static_cast<Word>(std::uint64_t{in[v * p.input_words + i]});
     }
     runner.run(row);
     for (const ArenaProbe& pr : probes) out.push_back(runner.bit(pr.word, pr.bit));
@@ -100,7 +101,7 @@ std::vector<CompiledCase> compile_all(const Netlist& nl) {
 /// demand the combined output equal the uninterrupted sequential replay.
 template <class Word>
 void expect_resume_bit_identical(const CompiledCase& c,
-                                 const std::vector<std::uint64_t>& in,
+                                 const std::vector<Bit>& in,
                                  std::size_t count,
                                  const std::vector<Bit>& expect, unsigned nt,
                                  const char* circuit) {
@@ -139,6 +140,21 @@ void expect_resume_bit_identical(const CompiledCase& c,
   EXPECT_EQ(resumed.vectors_done, count);
   ASSERT_EQ(resumed.values, expect)
       << circuit << "/" << c.engine << " resumed run differs at nt=" << nt;
+
+  // The wire format lets a mid-stream shard omit its arena (lane-packed
+  // runs retain none); resuming a one-vector-per-pass run from one is
+  // refused.
+  BatchCheckpoint stripped = stopped.checkpoint;
+  ASSERT_FALSE(stripped.shards[s].arena.empty());
+  stripped.shards[s].arena.clear();
+  const BatchCheckpoint stripped_reloaded =
+      checkpoint_from_bytes(checkpoint_to_bytes(stripped));
+  try {
+    (void)second.run_resilient(in, count, &stripped_reloaded);
+    ADD_FAILURE() << circuit << "/" << c.engine << ": expected CheckpointError";
+  } catch (const CheckpointError& e) {
+    EXPECT_EQ(e.kind(), CheckpointError::Kind::Corrupt) << e.what();
+  }
 }
 
 TEST(CheckpointResume, BitIdenticalForEveryProfileEngineAndThreadCount) {
@@ -173,6 +189,74 @@ TEST(CheckpointResume, SixtyFourBitWordPrograms) {
       sequential_replay<std::uint64_t>(c.program, c.probes, in, count);
   for (unsigned nt : {1u, 2u, 5u}) {
     expect_resume_bit_identical<std::uint64_t>(c, in, count, expect, nt, "c432");
+  }
+}
+
+TEST(CheckpointResume, PackedLccStopsAndResumesOnPassBoundaries) {
+  // Lanes as shards: a packed LCC run stops between passes and resumes
+  // bit-identically at every lane width and thread count.
+  const Netlist nl = make_iscas85_like("c880", 3);
+  const LccCompiled scalar = compile_lcc(nl);
+  std::vector<ArenaProbe> scalar_probes;
+  for (NetId po : nl.primary_outputs()) {
+    scalar_probes.push_back({scalar.net_var[po.value], 0});
+  }
+  for (int w : supported_widths()) {
+    const LccCompiled lcc = compile_lcc(nl, /*packed=*/true, w);
+    std::vector<ArenaProbe> probes;
+    for (NetId po : nl.primary_outputs()) probes.push_back({lcc.net_var[po.value], 0});
+    const std::size_t lanes = static_cast<std::size_t>(w);
+    const std::size_t count = 3 * lanes + 5;  // four passes, the last partial
+    const std::size_t passes = 4;
+    const auto in = random_inputs(nl.primary_inputs().size(), count, 0xBEEF + lanes);
+    const auto expect = sequential_replay<std::uint32_t>(scalar.program,
+                                                         scalar_probes, in, count);
+    for (unsigned nt : {1u, 2u, 5u}) {
+      const BatchOptions base{.num_threads = nt, .min_chunk = 8};
+      BatchRunner probe_runner(lcc.program, probes, base);
+      ASSERT_EQ(probe_runner.lanes(), lanes);
+      const std::size_t shards = probe_runner.shard_count(count);
+      // Stop the last shard after its first pass when it has two or more,
+      // else before its only pass (earlier shards then hold the progress).
+      const std::size_t s = shards - 1;
+      const std::size_t quot = passes / shards;
+      const std::size_t rem = passes % shards;
+      const std::size_t first = s * quot + std::min(s, rem);
+      const std::size_t own = quot + (s < rem ? 1 : 0);
+      const std::size_t stop_at = (first + (own >= 2 ? 1 : 0)) * lanes;
+      // Planted inside the pass that starts at stop_at: it fires on that
+      // pass, before it runs.
+      FaultInjector inject(11);
+      inject.add_site({FaultSite::DeadlineOverrun, s, stop_at + 3, 0});
+      BatchOptions interrupted = base;
+      interrupted.inject = &inject;
+      BatchRunner first_run(lcc.program, probes, interrupted);
+      const ResilientBatch stopped = first_run.run_resilient(in, count);
+      ASSERT_EQ(stopped.status, RunStatus::DeadlineExpired) << w << "/" << nt;
+      ASSERT_EQ(stopped.vectors_done, stop_at) << w << "/" << nt;
+      for (const ShardCheckpoint& sc : stopped.checkpoint.shards) {
+        EXPECT_TRUE(sc.next == sc.end || (sc.next - sc.begin) % lanes == 0);
+        EXPECT_TRUE(sc.arena.empty());  // packed passes retain no state
+      }
+
+      const BatchCheckpoint reloaded =
+          checkpoint_from_bytes(checkpoint_to_bytes(stopped.checkpoint));
+      BatchRunner second(lcc.program, probes, base);
+      const ResilientBatch resumed = second.run_resilient(in, count, &reloaded);
+      ASSERT_EQ(resumed.status, RunStatus::Complete);
+      ASSERT_EQ(resumed.values, expect) << w << "-bit lanes, " << nt << " threads";
+
+      // A resume point inside a pass cannot come from this geometry.
+      BatchCheckpoint torn = reloaded;
+      torn.shards[s].next += 1;
+      torn.shards[s].rows.resize(torn.shards[s].rows.size() + probes.size());
+      try {
+        (void)second.run_resilient(in, count, &torn);
+        FAIL() << "expected CheckpointError";
+      } catch (const CheckpointError& e) {
+        EXPECT_EQ(e.kind(), CheckpointError::Kind::Corrupt) << e.what();
+      }
+    }
   }
 }
 

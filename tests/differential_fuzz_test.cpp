@@ -12,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "core/packed_runner.h"
 #include "core/simulator.h"
 #include "core/width_dispatch.h"
 #include "gen/random_dag.h"
@@ -20,6 +19,7 @@
 #include "harness/vectors.h"
 #include "native/native_sim.h"
 #include "netlist/bench_io.h"
+#include "obs/metrics.h"
 #include "oracle/oracle.h"
 
 namespace udsim {
@@ -169,9 +169,10 @@ TEST(DifferentialFuzz, NativeBackendAgreesWithOracleOnRandomCircuits) {
 
 TEST(DifferentialFuzz, WideLanesAgreeWithOracleOnRandomCircuits) {
   // Wide-word leg (DESIGN.md §5j): the compiled engines at every dispatched
-  // lane width — and the packed LCC runner, which fills every lane with an
-  // independent vector — must reproduce the oracle stream on seeded random
-  // DAGs. Failures name the seed, the width, and the full netlist.
+  // lane width — zero-delay LCC's run_batch filling every lane with an
+  // independent vector, also sharded over threads — must reproduce the
+  // oracle stream on seeded random DAGs. Failures name the seed, the width,
+  // and the full netlist.
   const std::vector<int> widths = supported_widths();
   constexpr EngineKind kWideEngines[] = {
       EngineKind::ZeroDelayLcc, EngineKind::PCSet, EngineKind::ParallelCombined};
@@ -205,10 +206,16 @@ TEST(DifferentialFuzz, WideLanesAgreeWithOracleOnRandomCircuits) {
             << "-bit lanes disagrees with oracle\n"
             << describe(seed, params, nl);
       }
-      const PackedRunResult pr = run_packed_lcc(nl, flat, w);
+      const auto lcc = make_simulator(nl, EngineKind::ZeroDelayLcc, w);
+      MetricsRegistry reg;
+      const BatchResult pr =
+          lcc->run_batch(flat, BatchRunOptions{.num_threads = 2, .metrics = &reg});
       ASSERT_EQ(pr.values, expect)
           << "packed LCC at " << w << "-bit lanes disagrees with oracle\n"
           << describe(seed, params, nl);
+      EXPECT_EQ(reg.counter("batch.passes").value(),
+                (vectors + static_cast<std::size_t>(w) - 1) /
+                    static_cast<std::size_t>(w));
     }
   }
 }

@@ -228,6 +228,11 @@ TEST(MetricsInvariant, BatchCountersAreThreadCountInvariant) {
     const CompileGuard guard{CompileBudget{}, nullptr, &compile_reg};
     auto sim = make_simulator(nl, kind, guard);
     const std::uint64_t static_ops = compile_reg.snapshot().at("compile.ops");
+    // Zero-delay LCC packs one vector per lane of its 32-bit words (3
+    // passes, 3 seamless shards); the others run one vector per pass.
+    const bool packed = kind == EngineKind::ZeroDelayLcc;
+    const std::uint64_t lanes = packed ? 32 : 1;
+    const std::uint64_t passes = (kVectors + lanes - 1) / lanes;
 
     std::map<std::string, std::uint64_t> reference;
     for (unsigned threads : {1u, 2u, 5u}) {
@@ -237,7 +242,11 @@ TEST(MetricsInvariant, BatchCountersAreThreadCountInvariant) {
       EXPECT_EQ(r.vectors, kVectors);
       const auto snap = filtered_snapshot(reg);
       EXPECT_EQ(snap.at("sim.vectors"), kVectors) << engine_name(kind);
-      EXPECT_EQ(snap.at("exec.ops"), static_ops * kVectors) << engine_name(kind);
+      const auto full = reg.snapshot();
+      EXPECT_EQ(full.at("batch.passes"), passes) << engine_name(kind);
+      EXPECT_EQ(full.at("batch.lanes"), lanes) << engine_name(kind);
+      EXPECT_EQ(snap.at("exec.ops"), static_ops * full.at("batch.passes"))
+          << engine_name(kind);
       if (threads == 1) {
         reference = snap;
       } else {
@@ -245,12 +254,12 @@ TEST(MetricsInvariant, BatchCountersAreThreadCountInvariant) {
             << engine_name(kind) << " at " << threads << " threads";
       }
       // The sharding cost is visible, just attributed separately.
-      const auto full = reg.snapshot();
       EXPECT_EQ(full.at("batch.runs"), 1u);
       if (threads == 5) {
-        EXPECT_EQ(full.at("batch.shards"), 5u);
-        EXPECT_EQ(full.at("batch.seam_vectors"), 4u);
-        EXPECT_EQ(full.at("batch.seam_ops"), static_ops * 4);
+        EXPECT_EQ(full.at("batch.shards"), packed ? 3u : 5u);
+        EXPECT_EQ(reg.counter("batch.seam_vectors").value(), packed ? 0u : 4u);
+        EXPECT_EQ(reg.counter("batch.seam_ops").value(),
+                  packed ? 0u : static_ops * 4);
       }
     }
   }

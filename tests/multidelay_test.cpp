@@ -119,6 +119,10 @@ struct MdCase {
   ParallelOptions options;
 };
 
+// gtest would otherwise print the raw bytes of the struct (a string pointer
+// and padding) into the discovered test name, which then differs per build.
+void PrintTo(const MdCase& c, std::ostream* os) { *os << c.label; }
+
 class MultiDelayParallel : public ::testing::TestWithParam<MdCase> {};
 
 TEST_P(MultiDelayParallel, WaveformsMatchOracle) {

@@ -41,6 +41,10 @@ struct ParCase {
   ParallelOptions options;
 };
 
+// gtest would otherwise print the raw bytes of the struct (a string pointer
+// and padding) into the discovered test name, which then differs per build.
+void PrintTo(const ParCase& c, std::ostream* os) { *os << c.label; }
+
 class ParallelEquivalence : public ::testing::TestWithParam<ParCase> {};
 
 void check_waveforms(const Netlist& nl, const ParallelOptions& options,

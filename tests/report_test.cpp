@@ -164,25 +164,18 @@ TEST_F(BenchReportFixture, ExactCountersObeyTheCompiledInvariants) {
       ASSERT_TRUE(e.exact.contains("exec.ops")) << c.circuit << "/" << e.engine;
       ASSERT_TRUE(e.exact.contains("compile.ops"));
       ASSERT_TRUE(e.exact.contains("sim.vectors"));
-      if (e.engine == "lcc-packed") {
-        // Packed rows retire word_bits vectors per executor pass, so the
-        // pass count — not the vector count — scales the dynamic cost.
-        const std::uint64_t passes =
-            (kVectors + static_cast<std::uint64_t>(e.word_bits) - 1) /
-            static_cast<std::uint64_t>(e.word_bits);
-        EXPECT_EQ(e.exact.at("sim.vectors"), passes)
-            << c.circuit << " packed w" << e.word_bits;
-        EXPECT_EQ(e.exact.at("exec.ops"), e.exact.at("compile.ops") * passes)
-            << c.circuit << " packed w" << e.word_bits;
-        EXPECT_EQ(e.exact.at("packed.vectors"), kVectors);
-        EXPECT_EQ(e.exact.at("packed.lanes"),
-                  static_cast<std::uint64_t>(e.word_bits));
-        continue;
-      }
+      // Zero-delay LCC's run_batch retires word_bits vectors per executor
+      // pass (lanes as shards), so the pass count — not the vector count —
+      // scales its dynamic cost.
+      const bool lcc = e.engine == "zero-delay-lcc" || e.engine == "lcc-packed";
+      const std::uint64_t lanes = lcc ? static_cast<std::uint64_t>(e.word_bits) : 1;
       EXPECT_EQ(e.exact.at("sim.vectors"), kVectors);
+      EXPECT_EQ(e.exact.at("batch.lanes"), lanes) << c.circuit << "/" << e.engine;
+      EXPECT_EQ(e.exact.at("batch.passes"), (kVectors + lanes - 1) / lanes)
+          << c.circuit << "/" << e.engine << " w" << e.word_bits;
       // The compiled-simulation law: dynamic cost = static cost × passes.
       EXPECT_EQ(e.exact.at("exec.ops"),
-                e.exact.at("compile.ops") * kVectors)
+                e.exact.at("compile.ops") * e.exact.at("batch.passes"))
           << c.circuit << "/" << e.engine << "@" << e.threads;
       EXPECT_TRUE(e.exact.contains("compile.peak_bytes"));
       EXPECT_GT(e.exact.at("compile.peak_bytes"), 0u);

@@ -39,11 +39,11 @@ Netlist test_dag(std::uint64_t seed) {
   return random_dag(p);
 }
 
-std::vector<std::uint64_t> random_inputs(std::size_t pis, std::size_t count,
-                                         std::uint64_t seed) {
+std::vector<Bit> random_inputs(std::size_t pis, std::size_t count,
+                               std::uint64_t seed) {
   RandomVectorSource src(pis, seed);
   std::vector<Bit> row(pis);
-  std::vector<std::uint64_t> in(pis * count);
+  std::vector<Bit> in(pis * count);
   for (std::size_t v = 0; v < count; ++v) {
     src.next(row);
     for (std::size_t i = 0; i < pis; ++i) in[v * pis + i] = row[i];
@@ -273,6 +273,11 @@ TEST(FaultInjector, DecisionsArePureFunctionsOfTheSeed) {
   EXPECT_FALSE(planted.fires(FaultSite::AllocFail, 3, 17, 1));
   EXPECT_FALSE(planted.fires(FaultSite::AllocFail, 3, 16, 2));
   EXPECT_FALSE(planted.fires(FaultSite::WorkerThrow, 3, 17, 2));
+  // A multi-vector pass [first, first + n) fires when it covers the site.
+  EXPECT_TRUE(planted.fires(FaultSite::AllocFail, 3, 0, 2, 32));
+  EXPECT_TRUE(planted.fires(FaultSite::AllocFail, 3, 17, 2, 32));
+  EXPECT_FALSE(planted.fires(FaultSite::AllocFail, 3, 0, 2, 17));
+  EXPECT_FALSE(planted.fires(FaultSite::AllocFail, 3, 18, 2, 32));
   EXPECT_TRUE(planted.fire(FaultSite::AllocFail, 3, 17, 2));
   EXPECT_EQ(planted.fired(FaultSite::AllocFail), 1u);
   EXPECT_EQ(planted.fired_total(), 1u);

@@ -2,9 +2,10 @@
 // SIMD-wide executors: every ISCAS-85 profile × production compiled engine
 // × dispatched lane width must be bit-identical to the interpreted oracle
 // (and hence to the historical 32-bit path), with the exact-counter
-// invariant exec.ops == compile.ops × vectors holding at every width. The
-// packed LCC runner must reproduce the same rows while retiring word_bits
-// vectors per pass — lane independence at every width.
+// invariant exec.ops == compile.ops × batch.passes holding at every width.
+// Zero-delay LCC's run_batch must reproduce the same rows while retiring
+// word_bits vectors per pass — lanes as shards at every width, thread count
+// and tail length.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -12,7 +13,7 @@
 #include <vector>
 
 #include "core/kernel_runner.h"
-#include "core/packed_runner.h"
+#include "core/batch_runner.h"
 #include "core/simulator.h"
 #include "core/width_dispatch.h"
 #include "gen/iscas_profiles.h"
@@ -81,12 +82,17 @@ TEST_P(WidthMatrixTest, EveryEngineAndWidthMatchesTheOracle) {
           << "-bit lanes diverges from the oracle";
 
       // The counters stay exact at every width: a straight-line program
-      // executes every op on every pass, whatever the lane width.
+      // executes every op on every pass, whatever the lane width. LCC's
+      // run_batch settles w vectors per pass.
       const auto snap = reg.snapshot();
       ASSERT_TRUE(snap.contains("compile.ops"));
       EXPECT_EQ(snap.at("sim.vectors"), kVectors)
           << engine_name(kind) << " @ " << w;
-      EXPECT_EQ(snap.at("exec.ops"), snap.at("compile.ops") * kVectors)
+      const std::size_t lanes =
+          kind == EngineKind::ZeroDelayLcc ? static_cast<std::size_t>(w) : 1;
+      EXPECT_EQ(snap.at("batch.passes"), (kVectors + lanes - 1) / lanes)
+          << engine_name(kind) << " @ " << w;
+      EXPECT_EQ(snap.at("exec.ops"), snap.at("compile.ops") * snap.at("batch.passes"))
           << engine_name(kind) << " @ " << w;
       EXPECT_EQ(snap.at("dispatch.width"), static_cast<std::uint64_t>(w));
     }
@@ -130,19 +136,65 @@ TEST(WidthMatrix, PackedRunnerMatchesScalarRowsAtEveryWidth) {
     const std::vector<Bit> flat = make_stream(nl, kVectors, 0x77ull);
     const std::vector<Bit> expect = oracle_rows(nl, flat, kVectors);
     for (int w : supported_widths()) {
+      const auto sim = make_simulator(nl, EngineKind::ZeroDelayLcc, w);
       MetricsRegistry reg;
-      const PackedRunResult r = run_packed_lcc(nl, flat, w, &reg);
-      EXPECT_EQ(r.word_bits, w);
+      const BatchResult r =
+          sim->run_batch(flat, BatchRunOptions{.num_threads = 1, .metrics = &reg});
+      EXPECT_EQ(sim->compiled_program()->word_bits, w);
       EXPECT_EQ(r.vectors, kVectors);
-      EXPECT_EQ(r.passes,
+      EXPECT_EQ(reg.counter("batch.passes").value(),
                 (kVectors + static_cast<std::size_t>(w) - 1) /
                     static_cast<std::size_t>(w))
           << "one pass settles word_bits vectors";
       ASSERT_EQ(r.values, expect)
           << name << " packed @ " << w << "-bit lanes diverges";
-      EXPECT_EQ(reg.counter("packed.lanes").value(),
+      EXPECT_EQ(reg.counter("batch.lanes").value(),
                 static_cast<std::uint64_t>(w));
-      EXPECT_EQ(reg.counter("packed.vectors").value(), kVectors);
+      EXPECT_EQ(reg.counter("sim.vectors").value(), kVectors);
+    }
+  }
+}
+
+TEST(WidthMatrix, LccRunBatchPacksAtEveryWidthThreadCountAndTail) {
+  // Every width × threads {1, 2, 5} × tail shape: rows equal the oracle and
+  // a scalar (single-bit-load) LCC BatchRunner run; passes == ceil(n / w).
+  ::unsetenv("UDSIM_FORCE_WIDTH");
+  const Netlist nl = make_iscas85_like("c432");
+  const std::size_t pis = nl.primary_inputs().size();
+  const std::size_t widest = static_cast<std::size_t>(widest_width());
+  const std::size_t max_count = 3 * widest + 5;
+  const std::vector<Bit> flat = make_stream(nl, max_count, 0x3131ull);
+  const std::vector<Bit> oracle = oracle_rows(nl, flat, max_count);
+  const std::size_t cols = nl.primary_outputs().size();
+  const LccCompiled scalar = compile_lcc(nl);
+  std::vector<ArenaProbe> probes;
+  for (NetId po : nl.primary_outputs()) probes.push_back({scalar.net_var[po.value], 0});
+
+  for (int w : supported_widths()) {
+    MetricsRegistry compile_reg;
+    const CompileGuard guard{CompileBudget{}, nullptr, &compile_reg};
+    const auto sim = make_simulator(nl, EngineKind::ZeroDelayLcc, guard, w);
+    const std::uint64_t static_ops = compile_reg.counter("compile.ops").value();
+    const std::size_t lanes = static_cast<std::size_t>(w);
+    for (unsigned nt : {1u, 2u, 5u}) {
+      BatchRunner reference(scalar.program, probes, BatchOptions{.num_threads = nt});
+      ASSERT_EQ(reference.lanes(), 1u);
+      for (std::size_t n : {std::size_t{0}, std::size_t{1}, lanes - 1, lanes,
+                            lanes + 1, 3 * lanes + 5}) {
+        const std::span<const Bit> stream(flat.data(), n * pis);
+        MetricsRegistry reg;
+        const BatchResult r =
+            sim->run_batch(stream, BatchRunOptions{.num_threads = nt, .metrics = &reg});
+        const std::vector<Bit> expect(oracle.begin(),
+                                      oracle.begin() + static_cast<std::ptrdiff_t>(n * cols));
+        ASSERT_EQ(r.values, expect) << w << "-bit lanes, " << nt << " threads, n=" << n;
+        ASSERT_EQ(reference.run(stream, n), expect)
+            << "scalar LCC, " << nt << " threads, n=" << n;
+        const std::uint64_t passes = (n + lanes - 1) / lanes;
+        EXPECT_EQ(reg.counter("batch.passes").value(), passes) << w << "/" << n;
+        EXPECT_EQ(reg.counter("sim.vectors").value(), n) << w << "/" << n;
+        EXPECT_EQ(reg.counter("exec.ops").value(), static_ops * passes) << w << "/" << n;
+      }
     }
   }
 }
