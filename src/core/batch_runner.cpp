@@ -7,6 +7,8 @@
 #include <utility>
 
 #include "core/lane_staging.h"
+#include "core/simulator.h"
+#include "core/thread_pool.h"
 #include "core/width_dispatch.h"
 #include "ir/verify.h"
 #include "netlist/diagnostics.h"
@@ -22,6 +24,15 @@ namespace {
   const std::size_t lanes =
       p.word_bits > 64 ? static_cast<std::size_t>(p.word_bits) / 64 : 1;
   return p.arena_words * lanes;
+}
+
+/// The program a Simulator-built runner executes, checked for batch use.
+const Program& batch_program(const Simulator& sim) {
+  const Program* p = sim.compiled_program();
+  if (p == nullptr || p->input_words != sim.netlist().primary_inputs().size()) {
+    throw std::logic_error("run_batch: no compiled program in scalar input mode");
+  }
+  return *p;
 }
 
 [[nodiscard]] std::uint64_t shard_now_ns() {
@@ -45,12 +56,18 @@ std::string_view run_status_name(RunStatus s) noexcept {
   return "?";
 }
 
+BatchRunner::BatchRunner(const Simulator& sim, BatchOptions options)
+    : BatchRunner(batch_program(sim), sim.output_probes(), std::move(options)) {
+  native_ = sim.native_module();
+}
+
 BatchRunner::BatchRunner(const Program& program, std::vector<ArenaProbe> probes,
                          BatchOptions options)
     : program_(program),
       probes_(std::move(probes)),
       options_(std::move(options)),
-      pool_(options_.num_threads) {
+      threads_(options_.num_threads == 0 ? ThreadPool::hardware_threads()
+                                         : options_.num_threads) {
   if (!width_available(program_.word_bits)) {
     const std::string msg = "BatchRunner: program word size " +
                             std::to_string(program_.word_bits) +
@@ -82,7 +99,7 @@ std::size_t BatchRunner::shard_count(std::size_t num_vectors) const noexcept {
   if (num_vectors == 0) return 0;
   const std::size_t passes = (num_vectors + lanes_ - 1) / lanes_;
   const std::size_t chunk = (options_.min_chunk + lanes_ - 1) / lanes_;
-  const std::size_t by_threads = pool_.threads();
+  const std::size_t by_threads = threads_;
   const std::size_t by_chunk = (passes + chunk - 1) / chunk;
   return std::max<std::size_t>(1, std::min(by_threads, by_chunk));
 }
@@ -114,6 +131,8 @@ void BatchRunner::run_shard(std::span<const Bit> inputs, std::size_t shard_index
     throw std::bad_alloc();
   }
   KernelRunner<Word> runner(program_);
+  // Probes were validated at construction: outputs read the arena directly.
+  Word* const arena = runner.mutable_arena().data();
   std::vector<Word> row(iw);
   const std::size_t cols = probes_.size();
   const bool packed = lanes_ > 1;
@@ -126,14 +145,23 @@ void BatchRunner::run_shard(std::span<const Bit> inputs, std::size_t shard_index
       row[i] = static_cast<Word>(std::uint64_t{src[i] & 1u});
     }
   };
+  // One kernel pass over `row`: the engine's native module (same program,
+  // same arena) when it has one, else the IR executor.
+  const auto step = [&] {
+    if (native_ != nullptr) {
+      native_->step(arena, row.data());
+    } else {
+      runner.run(row);
+    }
+  };
   // One executor pass settling vectors [v, v + n): n == 1 unless packed.
   const auto pass = [&](std::size_t v, std::size_t n) {
     Bit* dst = out.data() + v * cols;
     if (!packed) {
       load(v);
-      runner.run(row);
+      step();
       for (std::size_t j = 0; j < cols; ++j) {
-        dst[j] = runner.bit(probes_[j].word, probes_[j].bit);
+        dst[j] = static_cast<Bit>(word_bit(arena[probes_[j].word], probes_[j].bit));
       }
       return;
     }
@@ -141,8 +169,7 @@ void BatchRunner::run_shard(std::span<const Bit> inputs, std::size_t shard_index
     for (std::size_t i = 0; i < iw; ++i) {
       row[i] = word_from_u64_lanes<Word>(&staged[i * kL]);
     }
-    runner.run(row);
-    const std::span<const Word> arena = runner.arena();
+    step();
     for (std::size_t j = 0; j < cols; ++j) {
       for (std::size_t l = 0; l < kL; ++l) {
         staged[j * kL + l] = word_u64_lane(arena[probes_[j].word], l);
@@ -160,7 +187,7 @@ void BatchRunner::run_shard(std::span<const Bit> inputs, std::size_t shard_index
     // Seam replay: the predecessor shard's final vector re-establishes the
     // retained state (previous-vector settled values); outputs discarded.
     load(slot.begin - 1);
-    runner.run(row);
+    step();
     seam = true;
   }
 
@@ -207,9 +234,9 @@ void BatchRunner::run_shard(std::span<const Bit> inputs, std::size_t shard_index
       }
       if (inj->fire(FaultSite::ArenaCorrupt, shard_index, v, attempt, n)) {
         metric_add(reg, "resil.injected", 1);
-        const std::span<Word> arena = runner.mutable_arena();
-        if (!arena.empty()) {
-          arena[v % arena.size()] ^= static_cast<Word>(0xdeadbeefdeadbeefull);
+        if (program_.arena_words != 0) {
+          arena[v % program_.arena_words] ^=
+              static_cast<Word>(0xdeadbeefdeadbeefull);
         }
         account();
         // The corruption is trapped immediately (standing in for a detected
@@ -318,7 +345,7 @@ ResilientBatch BatchRunner::run_resilient(std::span<const Bit> inputs,
   TraceSpan span(reg, "batch.run");
   if (reg) {
     reg->counter("batch.runs").add(1);
-    reg->counter("batch.threads").set(pool_.threads());
+    reg->counter("batch.threads").set(threads_);
     reg->counter("batch.lanes").set(lanes_);
   }
 
@@ -387,9 +414,15 @@ ResilientBatch BatchRunner::run_resilient(std::span<const Bit> inputs,
   // by the shard boundaries, so the merge is free and deterministic. Shard
   // bodies never throw (run_shard_guarded converts failures into retries
   // and quarantine marks), so the pool barrier always completes cleanly.
-  pool_.parallel_for(shards, [&](std::size_t s) {
+  // A shard body never starts another batch (see ThreadPool::shared).
+  const auto shard = [&](std::size_t s) {
     run_shard_guarded(inputs, s, slots[s], result.values);
-  });
+  };
+  if (shards == 1) {
+    shard(0);  // inline on the caller; never touches the pool
+  } else {
+    ThreadPool::shared().parallel_for(shards, shard);
+  }
 
   // Graceful degradation: quarantined shards re-run sequentially on the
   // calling thread, one final attempt each. A failure here is a genuine,

@@ -24,6 +24,10 @@
 // count, equal to a sequential KernelRunner replay from the reset arena
 // (enforced by tests/batch_runner_test.cpp).
 //
+// One loop, one pool (DESIGN.md §5c): a runner built from a Simulator
+// steps its shards with the engine's own kernel (native module or IR
+// executor); shards run on ThreadPool::shared(), a single shard inline.
+//
 // Resilience (DESIGN.md §5f): the same one-piece-of-state property makes
 // shards independently retryable and the run checkpointable. run_resilient()
 // polls a CancelToken once per executor pass and, instead of tearing the run
@@ -42,7 +46,6 @@
 #include <utility>
 
 #include "core/kernel_runner.h"
-#include "core/thread_pool.h"
 #include "ir/program.h"
 #include "netlist/logic.h"
 #include "obs/pass_cost.h"
@@ -53,9 +56,11 @@
 namespace udsim {
 
 class Diagnostics;
+class NativeModule;
+class Simulator;
 
 struct BatchOptions {
-  unsigned num_threads = 0;    ///< worker threads; 0 = all hardware threads
+  unsigned num_threads = 0;    ///< shard count; 0 = all hardware threads
   std::size_t min_chunk = 16;  ///< smallest shard worth a seam-replay pass
   /// Optional observability sink (DESIGN.md §5e). Payload passes bump the
   /// exact execution counters (sim.vectors counts vectors; exec.* and
@@ -123,6 +128,11 @@ class BatchRunner {
   BatchRunner(const Program& program, std::vector<ArenaProbe> probes,
               BatchOptions options = {});
 
+  /// Runner over a compiled engine's program, output probes and kernel
+  /// (sim.native_module() when set, else the IR executor; both step the
+  /// same arena). `sim` must outlive the runner.
+  explicit BatchRunner(const Simulator& sim, BatchOptions options = {});
+
   /// Run `num_vectors` vectors. `inputs` is row-major with
   /// `program.input_words` Bits per vector; bit 0 of each is the value.
   /// Returns a row-major Bit matrix of `num_vectors` rows ×
@@ -146,7 +156,7 @@ class BatchRunner {
       std::span<const Bit> inputs, std::size_t num_vectors,
       const BatchCheckpoint* resume = nullptr);
 
-  [[nodiscard]] unsigned num_threads() const noexcept { return pool_.threads(); }
+  [[nodiscard]] unsigned num_threads() const noexcept { return threads_; }
   [[nodiscard]] const std::vector<ArenaProbe>& probes() const noexcept {
     return probes_;
   }
@@ -186,8 +196,9 @@ class BatchRunner {
   const Program& program_;
   std::vector<ArenaProbe> probes_;
   BatchOptions options_;
-  unsigned lanes_ = 1;  ///< vectors per pass (see lanes())
-  ThreadPool pool_;
+  const NativeModule* native_ = nullptr;  ///< null = the IR executor
+  unsigned threads_ = 1;  ///< requested thread count, 0 resolved
+  unsigned lanes_ = 1;    ///< vectors per pass (see lanes())
   ExecCounters exec_;  ///< payload-pass counters (disengaged without metrics)
 };
 

@@ -93,7 +93,6 @@ class KernelRunner {
     return static_cast<Bit>(word_bit(arena_.at(idx), bit_pos));
   }
   [[nodiscard]] std::span<const Word> arena() const noexcept { return arena_; }
-  [[nodiscard]] const Program& program() const noexcept { return program_; }
 
   /// Attach (or detach, with nullptr) a cancel token; see run().
   void set_cancel(const CancelToken* token) noexcept { poll_ = CancelPoll(token); }
@@ -129,13 +128,6 @@ class KernelRunner {
   /// Mutable arena access for the fault-injection harness and tests; normal
   /// clients never need this.
   [[nodiscard]] std::span<Word> mutable_arena() noexcept { return arena_; }
-
-  /// Clear state back to the post-construction arena.
-  void reset() {
-    arena_.assign(program_.arena_words, 0);
-    initialize_arena<Word>(program_, std::span<Word>(arena_));
-    passes_ = 0;
-  }
 
  private:
   const Program& program_;

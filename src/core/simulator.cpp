@@ -41,6 +41,28 @@ std::string_view engine_name(EngineKind k) noexcept {
   return "?";
 }
 
+BatchResult run_compiled_batch(
+    const Simulator& sim, std::span<const Bit> vectors,
+    const BatchRunOptions& opts, const CancelToken* cancel,
+    std::vector<std::pair<std::string, std::uint64_t>> extra_pass_cost) {
+  const std::size_t count = batch_vector_count(sim.netlist(), vectors);
+  // Per-run overrides beat the instance-wide attachments (see
+  // BatchRunOptions): a shared cached engine stays immutable while each
+  // request brings its own token and registry.
+  BatchRunner batch(sim, BatchOptions{
+                             .num_threads = opts.num_threads,
+                             .metrics = opts.metrics ? opts.metrics : sim.metrics(),
+                             .extra_pass_cost = std::move(extra_pass_cost),
+                             .cancel = opts.cancel ? opts.cancel : cancel,
+                         });
+  BatchResult r;
+  r.outputs = sim.netlist().primary_outputs();
+  r.vectors = count;
+  r.values = batch.run(vectors, count);
+  r.threads = batch.num_threads();
+  return r;
+}
+
 namespace {
 
 // The compiled engines all expose the same two hooks — the program and the
@@ -64,16 +86,6 @@ std::vector<std::pair<std::string, std::uint64_t>> batch_extras(const Engine& e)
   } else {
     return {};
   }
-}
-
-template <class Engine>
-std::vector<ArenaProbe> batch_probes(const Engine& e, const Netlist& nl) {
-  std::vector<ArenaProbe> probes;
-  if constexpr (requires { e.final_arena_probe(NetId{}); }) {
-    probes.reserve(nl.primary_outputs().size());
-    for (NetId po : nl.primary_outputs()) probes.push_back(e.final_arena_probe(po));
-  }
-  return probes;
 }
 
 template <class Engine>
@@ -102,7 +114,13 @@ class EngineAdapter final : public Simulator {
     return batch_program(engine_);
   }
   [[nodiscard]] std::vector<ArenaProbe> output_probes() const override {
-    return batch_probes(engine_, nl_);
+    std::vector<ArenaProbe> probes;
+    if constexpr (requires { engine_.final_arena_probe(NetId{}); }) {
+      for (NetId po : nl_.primary_outputs()) {
+        probes.push_back(engine_.final_arena_probe(po));
+      }
+    }
+    return probes;
   }
   [[nodiscard]] ProgramProfile program_profile(std::size_t top_k) const override {
     if constexpr (requires { attribution_for(engine_.compiled(), nl_); }) {
@@ -121,52 +139,33 @@ class EngineAdapter final : public Simulator {
 
   [[nodiscard]] BatchResult run_batch(std::span<const Bit> vectors,
                                       const BatchRunOptions& opts) const override {
+    if (batch_program(engine_) != nullptr) {
+      return run_compiled_batch(*this, vectors, opts, cancel_,
+                                batch_extras(engine_));
+    }
     const std::size_t count = batch_vector_count(nl_, vectors);
-    // Per-run overrides beat the instance-wide attachments (see
-    // BatchRunOptions): a shared cached engine stays immutable while each
-    // request brings its own token and registry.
     MetricsRegistry* metrics = opts.metrics ? opts.metrics : metrics_;
     const CancelToken* cancel = opts.cancel ? opts.cancel : cancel_;
     BatchResult r;
     r.outputs = nl_.primary_outputs();
     r.vectors = count;
-    if (const Program* program = batch_program(engine_)) {
-      run_compiled(*program, vectors, count, opts.num_threads, metrics, cancel, r);
-    } else {
-      // Interpreted fallback: single-threaded replay on a fresh engine, so
-      // the reset-state semantics and this instance's state both hold.
-      Engine fresh(nl_);
-      fresh.set_metrics(metrics);
-      if constexpr (requires { fresh.set_cancel(cancel); }) {
-        fresh.set_cancel(cancel);
-      }
-      const std::size_t pis = nl_.primary_inputs().size();
-      r.values.reserve(count * r.outputs.size());
-      for (std::size_t v = 0; v < count; ++v) {
-        fresh.step(vectors.subspan(v * pis, pis));
-        for (NetId po : r.outputs) r.values.push_back(value_of(fresh, po));
-      }
+    // Interpreted fallback: single-threaded replay on a fresh engine, so
+    // the reset-state semantics and this instance's state both hold.
+    Engine fresh(nl_);
+    fresh.set_metrics(metrics);
+    if constexpr (requires { fresh.set_cancel(cancel); }) {
+      fresh.set_cancel(cancel);
+    }
+    const std::size_t pis = nl_.primary_inputs().size();
+    r.values.reserve(count * r.outputs.size());
+    for (std::size_t v = 0; v < count; ++v) {
+      fresh.step(vectors.subspan(v * pis, pis));
+      for (NetId po : r.outputs) r.values.push_back(value_of(fresh, po));
     }
     return r;
   }
 
  private:
-  void run_compiled(const Program& program, std::span<const Bit> vectors,
-                    std::size_t count, unsigned num_threads,
-                    MetricsRegistry* metrics, const CancelToken* cancel,
-                    BatchResult& r) const {
-    if (program.input_words != nl_.primary_inputs().size()) {
-      throw std::logic_error("run_batch: program is not in scalar input mode");
-    }
-    BatchRunner batch(program, batch_probes(engine_, nl_),
-                      BatchOptions{.num_threads = num_threads,
-                                   .metrics = metrics,
-                                   .extra_pass_cost = batch_extras(engine_),
-                                   .cancel = cancel});
-    r.values = batch.run(vectors, count);
-    r.threads = batch.num_threads();
-  }
-
   static Bit value_of(const EventSim2& e, NetId n) { return e.value(n); }
   static Bit value_of(const EventSim3& e, NetId n) {
     return e.value(n) == Tri::One ? 1 : 0;
@@ -212,41 +211,32 @@ ParallelOptions parallel_options(EngineKind kind) {
 /// instantiation per supported width covers the whole ladder.
 template <class Word>
 std::unique_ptr<Simulator> make_ir_adapter(const Netlist& nl, EngineKind kind,
-                                           const CompileGuard* guard) {
+                                           const CompileGuard& guard) {
   switch (kind) {
     case EngineKind::PCSet:
-      if (guard) {
-        return std::make_unique<EngineAdapter<PCSetSim<Word>>>(
-            kind, nl, std::span<const NetId>{}, *guard);
-      }
-      return std::make_unique<EngineAdapter<PCSetSim<Word>>>(kind, nl);
+      return std::make_unique<EngineAdapter<PCSetSim<Word>>>(
+          kind, nl, std::span<const NetId>{}, guard);
     case EngineKind::ZeroDelayLcc:
-      if (guard) {
-        return std::make_unique<EngineAdapter<LccSim<Word>>>(kind, nl, *guard);
-      }
-      return std::make_unique<EngineAdapter<LccSim<Word>>>(kind, nl);
+      return std::make_unique<EngineAdapter<LccSim<Word>>>(kind, nl, guard);
     case EngineKind::Parallel:
     case EngineKind::ParallelTrimmed:
     case EngineKind::ParallelPathTracing:
     case EngineKind::ParallelCycleBreaking:
     case EngineKind::ParallelCombined:
-      if (guard) {
-        return std::make_unique<EngineAdapter<ParallelSim<Word>>>(
-            kind, nl, parallel_options(kind), *guard);
-      }
       return std::make_unique<EngineAdapter<ParallelSim<Word>>>(
-          kind, nl, parallel_options(kind));
+          kind, nl, parallel_options(kind), guard);
     default:
       throw NetlistError("make_simulator: unknown engine kind");
   }
 }
 
+/// A default CompileGuard (no budget, sinks or token) compiles exactly like
+/// the engines' unguarded constructors.
 std::unique_ptr<Simulator> make_simulator_impl(const Netlist& nl, EngineKind kind,
-                                               const CompileGuard* guard,
-                                               const NativeOptions* native = nullptr,
-                                               int word_bits = 32) {
+                                               const CompileGuard& guard,
+                                               const NativeOptions& native,
+                                               int word_bits) {
   std::unique_ptr<Simulator> sim = [&]() -> std::unique_ptr<Simulator> {
-    const NativeOptions nopts = native ? *native : NativeOptions{};
     switch (kind) {
       // The interpreted event engines have no word arena; width is moot.
       case EngineKind::Event2:
@@ -261,10 +251,7 @@ std::unique_ptr<Simulator> make_simulator_impl(const Netlist& nl, EngineKind kin
               "make_simulator: the native backend supports 32/64-bit words "
               "only (requested " + std::to_string(word_bits) + ")");
         }
-        if (guard) {
-          return std::make_unique<NativeSimulator>(nl, nopts, *guard);
-        }
-        return std::make_unique<NativeSimulator>(nl, nopts);
+        return std::make_unique<NativeSimulator>(nl, native, guard);
       default:
         switch (word_bits) {
           case 64:
@@ -283,8 +270,8 @@ std::unique_ptr<Simulator> make_simulator_impl(const Netlist& nl, EngineKind kin
   // The registry that traced the compile also receives the runtime
   // counters, so one object tells the whole story of an engine's life;
   // likewise the token that could stop the compile keeps polling at runtime.
-  if (guard && guard->metrics) sim->set_metrics(guard->metrics);
-  if (guard && guard->cancel) sim->set_cancel(guard->cancel);
+  if (guard.metrics) sim->set_metrics(guard.metrics);
+  if (guard.cancel) sim->set_cancel(guard.cancel);
   return sim;
 }
 
@@ -343,27 +330,24 @@ std::size_t batch_vector_count(const Netlist& nl, std::span<const Bit> vectors,
 }
 
 std::unique_ptr<Simulator> make_simulator(const Netlist& nl, EngineKind kind) {
-  const WidthChoice w = dispatch_width();
-  return make_simulator_impl(nl, kind, nullptr, nullptr, w.word_bits);
+  return make_simulator(nl, kind, CompileGuard{}, 0);
 }
 
 std::unique_ptr<Simulator> make_simulator(const Netlist& nl, EngineKind kind,
                                           const CompileGuard& guard) {
-  const WidthChoice w = dispatch_width(0, guard.diag, guard.metrics);
-  return make_simulator_impl(nl, kind, &guard, nullptr, w.word_bits);
+  return make_simulator(nl, kind, guard, 0);
 }
 
 std::unique_ptr<Simulator> make_simulator(const Netlist& nl, EngineKind kind,
                                           int word_bits) {
-  const WidthChoice w = dispatch_width(word_bits);
-  return make_simulator_impl(nl, kind, nullptr, nullptr, w.word_bits);
+  return make_simulator(nl, kind, CompileGuard{}, word_bits);
 }
 
 std::unique_ptr<Simulator> make_simulator(const Netlist& nl, EngineKind kind,
                                           const CompileGuard& guard,
                                           int word_bits) {
   const WidthChoice w = dispatch_width(word_bits, guard.diag, guard.metrics);
-  return make_simulator_impl(nl, kind, &guard, nullptr, w.word_bits);
+  return make_simulator_impl(nl, kind, guard, NativeOptions{}, w.word_bits);
 }
 
 std::unique_ptr<Simulator> make_simulator_with_fallback(const Netlist& nl,
@@ -460,7 +444,7 @@ std::unique_ptr<Simulator> make_simulator_with_fallback(const Netlist& nl,
         kind == EngineKind::Native ? policy.native_breaker : nullptr);
     try {
       std::unique_ptr<Simulator> sim =
-          make_simulator_impl(nl, kind, &guard, &policy.native, width.word_bits);
+          make_simulator_impl(nl, kind, guard, policy.native, width.word_bits);
       // The toolchain cooperated end to end (emit → compile → dlopen →
       // dlsym): tell the breaker, so a half-open probe re-closes it.
       breaker_attempt.success();

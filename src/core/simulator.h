@@ -119,6 +119,12 @@ class Simulator {
   /// program without knowing the engine type.
   [[nodiscard]] virtual const Program* compiled_program() const noexcept = 0;
 
+  /// The dlopen'd kernel that runs compiled_program() (EngineKind::Native),
+  /// or nullptr when the IR executor runs it; BatchRunner steps with it.
+  [[nodiscard]] virtual const NativeModule* native_module() const noexcept {
+    return nullptr;
+  }
+
   /// Arena bits holding each primary output's settled value, in netlist
   /// primary-output order; empty for engines without a compiled program.
   [[nodiscard]] virtual std::vector<ArenaProbe> output_probes() const = 0;
@@ -142,6 +148,13 @@ class Simulator {
  protected:
   Simulator() = default;
 };
+
+/// run_batch of every compiled engine: one BatchRunner over `sim`, with
+/// `opts.cancel` / `opts.metrics` overriding `cancel` / sim.metrics().
+[[nodiscard]] BatchResult run_compiled_batch(
+    const Simulator& sim, std::span<const Bit> vectors,
+    const BatchRunOptions& opts, const CancelToken* cancel,
+    std::vector<std::pair<std::string, std::uint64_t>> extra_pass_cost);
 
 /// Construct an engine over `nl` (which must already have wired nets
 /// lowered; see lower_wired_nets). The executor lane width is resolved by

@@ -5,6 +5,10 @@
 // passes), so per-task overhead is irrelevant and work stealing would buy
 // nothing. `parallel_for` is a barrier — it returns only when every index
 // has been processed — and rethrows the first exception a body raised.
+//
+// Idle workers are handed work most-recently-idle first, and go idle under
+// the lock that settles their last parallel_for index, so back-to-back
+// loops run on the same warm threads (tests/batch_runner_test.cpp).
 #pragma once
 
 #include <condition_variable>
@@ -12,7 +16,9 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -42,10 +48,17 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
+  /// The process-wide pool, created on first use with hardware_threads()
+  /// workers. A body running on it must never start another parallel_for
+  /// on it: with every worker inside such a body, the inner loop's tasks
+  /// would wait forever.
+  [[nodiscard]] static ThreadPool& shared();
+
   /// Stop accepting work and join the workers. Idempotent; after the first
   /// call submit() throws and parallel_for() of n > 0 throws. With Cancel,
-  /// tasks still queued are destroyed without running and the number
-  /// discarded is returned; with Drain every queued task runs first.
+  /// queued tasks (submitted while every worker was busy) are destroyed
+  /// without running and the number discarded is returned; with Drain
+  /// every queued task runs first.
   /// Cancel must not race a parallel_for blocked on this pool (its barrier
   /// tasks would be discarded and the barrier never settle) — Drain, the
   /// destructor's mode, is always safe.
@@ -72,9 +85,9 @@ class ThreadPool {
   ///
   /// Fail-fast guarantee: after the first body throws, indices that have
   /// not yet started are skipped rather than executed; the call still
-  /// blocks until every submitted task has drained, then rethrows the
-  /// first exception. Bodies already running when the failure happens run
-  /// to completion (there is no preemption). The inline single-thread path
+  /// blocks until every index has been settled, then rethrows the first
+  /// exception. Bodies already running when the failure happens run to
+  /// completion (there is no preemption). The inline single-thread path
   /// fail-fasts trivially by propagating the throw immediately.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body);
 
@@ -82,14 +95,30 @@ class ThreadPool {
   [[nodiscard]] static unsigned hardware_threads() noexcept;
 
  private:
-  void worker_loop();
+  struct Batch;
+  struct Task {
+    std::function<void()> fn;
+    Batch* batch = nullptr;  ///< the parallel_for this index belongs to
+  };
+  struct Worker {
+    std::thread thread;
+    std::condition_variable wake;
+    std::optional<Task> handoff;  ///< set by dispatch_locked while idle
+  };
+
+  /// Hand `task` to the most recently idle worker, or queue it when every
+  /// worker is busy (so a non-empty queue implies no idle worker).
+  void dispatch_locked(Task task);
+  /// Run `task` with `lock` (on mu_) released, then settle its barrier.
+  void run_locked(Task& task, std::unique_lock<std::mutex>& lock);
+  void worker_loop(std::size_t self);
 
   mutable std::mutex mu_;
-  std::condition_variable work_cv_;
-  std::deque<std::function<void()>> queue_;
+  std::deque<Task> queue_;
+  std::vector<std::size_t> idle_;  ///< idle workers, most recent last
+  std::vector<std::unique_ptr<Worker>> workers_;
   bool stop_ = false;
   bool joined_ = false;
-  std::vector<std::thread> workers_;
 };
 
 }  // namespace udsim

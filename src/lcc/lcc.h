@@ -42,11 +42,7 @@ struct LccCompiled {
 template <class Word = std::uint32_t>
 class LccSim {
  public:
-  explicit LccSim(const Netlist& nl)
-      : nl_(nl), compiled_(compile_lcc(nl, /*packed=*/true, kBits)),
-        runner_(compiled_.program) {}
-
-  LccSim(const Netlist& nl, const CompileGuard& guard)
+  explicit LccSim(const Netlist& nl, const CompileGuard& guard = {})
       : nl_(nl), compiled_(compile_lcc(nl, /*packed=*/true, kBits, guard)),
         runner_(compiled_.program) {}
 

@@ -93,8 +93,6 @@ struct NativeOptions {
   std::size_t max_cache_entries = 64;
   /// Keep the generated .c next to the .so (mismatch forensics).
   bool keep_source = false;
-  /// Vectors per cancellation chunk of NativeSimulator::run_batch.
-  std::size_t batch_chunk = 1024;
 };
 
 /// Option/environment resolution (exposed for tests and diagnostics).

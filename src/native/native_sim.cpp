@@ -30,19 +30,10 @@ std::vector<std::pair<std::string, std::uint64_t>> native_extras(
 
 }  // namespace
 
-NativeSimulator::NativeSimulator(const Netlist& nl, const NativeOptions& opts)
-    : nl_(nl), opts_(opts), compiled_(compile_parallel(nl, native_base_options())) {
-  module_ = std::make_unique<NativeModule>(compiled_.program, kBaseLabel, opts_);
-  arena_.resize(compiled_.program.arena_words);
-  module_->init(arena_.data());
-}
-
 NativeSimulator::NativeSimulator(const Netlist& nl, const NativeOptions& opts,
                                  const CompileGuard& guard)
-    : nl_(nl),
-      opts_(opts),
-      compiled_(compile_parallel(nl, native_base_options(), guard)) {
-  module_ = std::make_unique<NativeModule>(compiled_.program, kBaseLabel, opts_,
+    : nl_(nl), compiled_(compile_parallel(nl, native_base_options(), guard)) {
+  module_ = std::make_unique<NativeModule>(compiled_.program, kBaseLabel, opts,
                                            guard.metrics);
   arena_.resize(compiled_.program.arena_words);
   module_->init(arena_.data());
@@ -91,56 +82,9 @@ ProgramProfile NativeSimulator::program_profile(std::size_t top_k) const {
 
 BatchResult NativeSimulator::run_batch(std::span<const Bit> vectors,
                                        const BatchRunOptions& opts) const {
-  const std::size_t pis = nl_.primary_inputs().size();
-  const std::size_t count = batch_vector_count(nl_, vectors);
-
-  BatchResult r;
-  r.outputs = nl_.primary_outputs();
-  r.vectors = count;
-  r.threads = 1;  // the dlopen'd code runs in-process, single-threaded
-  r.values.reserve(count * r.outputs.size());
-
-  // Reset-state semantics, like the IR batch layer: fresh arena, this
-  // instance's incremental state untouched.
-  std::vector<std::uint32_t> arena(compiled_.program.arena_words);
-  module_->init(arena.data());
-  std::vector<std::uint32_t> in(pis);
-  const std::vector<ArenaProbe> probes = output_probes();
-
-  // Per-run overrides (BatchRunOptions): a request-scoped token/registry
-  // beats the instance attachments, so a cached const NativeSimulator can
-  // serve concurrent service sessions.
-  MetricsRegistry* metrics = opts.metrics ? opts.metrics : metrics_;
-  const ExecCounters exec =
-      opts.metrics && opts.metrics != metrics_
-          ? ExecCounters::attach(opts.metrics, compiled_.program,
-                                 native_extras(compiled_))
-          : exec_;
-
-  // Chunked execution: the cancel token is polled at every chunk boundary
-  // (resilience contract — a native run stops within `batch_chunk` vectors
-  // of a cancel request), and the exact per-pass counters are settled per
-  // chunk so a cancelled run reports exactly the passes that completed.
-  const std::size_t chunk = opts_.batch_chunk == 0 ? 1024 : opts_.batch_chunk;
-  CancelPoll poll(opts.cancel ? opts.cancel : poll_.token());
-  std::size_t since_chunk = 0;
-  for (std::size_t v = 0; v < count; ++v) {
-    if (v % chunk == 0) {
-      metric_add(metrics, "native.batch.chunks", 1);
-      exec.on_passes(since_chunk);
-      since_chunk = 0;
-      const StopReason reason = poll.poll();
-      if (reason != StopReason::None) throw Cancelled(reason, "native.batch", v);
-    }
-    for (std::size_t i = 0; i < pis; ++i) in[i] = vectors[v * pis + i] & 1;
-    module_->step(arena.data(), in.data());
-    ++since_chunk;
-    for (const ArenaProbe& pr : probes) {
-      r.values.push_back(static_cast<Bit>((arena[pr.word] >> pr.bit) & 1u));
-    }
-  }
-  exec.on_passes(since_chunk);
-  return r;
+  // Each shard steps a fresh arena with module_; arena_ is untouched.
+  return run_compiled_batch(*this, vectors, opts, poll_.token(),
+                            native_extras(compiled_));
 }
 
 void NativeSimulator::run_stream(std::span<const std::uint32_t> in,

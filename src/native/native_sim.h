@@ -4,7 +4,8 @@
 // runs vectors through the machine code while keeping the facade's exact
 // observability contract — the same ExecCounters as the IR path, so
 // `exec.ops == compile.ops × passes` holds whichever backend executed the
-// pass (tests/fallback_chain_test.cpp pins this).
+// pass (tests/fallback_chain_test.cpp pins this). Batches run through
+// BatchRunner, which steps its shards with native_module() (DESIGN.md §5h).
 #pragma once
 
 #include <memory>
@@ -22,9 +23,8 @@ namespace udsim {
 /// drops to the IR chain with a DiagCode::NativeFallback record.
 class NativeSimulator final : public Simulator {
  public:
-  explicit NativeSimulator(const Netlist& nl, const NativeOptions& opts = {});
-  NativeSimulator(const Netlist& nl, const NativeOptions& opts,
-                  const CompileGuard& guard);
+  explicit NativeSimulator(const Netlist& nl, const NativeOptions& opts = {},
+                           const CompileGuard& guard = {});
   ~NativeSimulator() override;
 
   void step(std::span<const Bit> pi_values) override;
@@ -42,6 +42,9 @@ class NativeSimulator final : public Simulator {
   }
   [[nodiscard]] const Program* compiled_program() const noexcept override {
     return &compiled_.program;
+  }
+  [[nodiscard]] const NativeModule* native_module() const noexcept override {
+    return module_.get();
   }
   [[nodiscard]] std::vector<ArenaProbe> output_probes() const override;
   [[nodiscard]] ProgramProfile program_profile(std::size_t top_k) const override;
@@ -61,7 +64,6 @@ class NativeSimulator final : public Simulator {
 
  private:
   const Netlist& nl_;
-  NativeOptions opts_;
   ParallelCompiled compiled_;
   std::unique_ptr<NativeModule> module_;
   std::vector<std::uint32_t> arena_;

@@ -96,13 +96,9 @@ struct ParallelCompiled {
 template <class Word = std::uint32_t>
 class ParallelSim {
  public:
-  explicit ParallelSim(const Netlist& nl, const ParallelOptions& options = {})
-      : nl_(nl), compiled_(make(nl, options)), runner_(compiled_.program),
-        prev_final_(nl.net_count(), 0) {}
-
-  ParallelSim(const Netlist& nl, const ParallelOptions& options,
-              const CompileGuard& guard)
-      : nl_(nl), compiled_(make(nl, options, &guard)), runner_(compiled_.program),
+  explicit ParallelSim(const Netlist& nl, const ParallelOptions& options = {},
+                       const CompileGuard& guard = {})
+      : nl_(nl), compiled_(make(nl, options, guard)), runner_(compiled_.program),
         prev_final_(nl.net_count(), 0) {}
 
   // runner_ references compiled_.program; relocation would dangle.
@@ -157,10 +153,9 @@ class ParallelSim {
 
  private:
   static ParallelCompiled make(const Netlist& nl, ParallelOptions options,
-                               const CompileGuard* guard = nullptr) {
+                               const CompileGuard& guard) {
     options.word_bits = static_cast<int>(sizeof(Word) * 8);
-    return guard ? compile_parallel(nl, options, *guard)
-                 : compile_parallel(nl, options);
+    return compile_parallel(nl, options, guard);
   }
 
   const Netlist& nl_;

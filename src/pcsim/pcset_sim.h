@@ -67,13 +67,8 @@ struct PCSetCompiled {
 template <class Word = std::uint32_t>
 class PCSetSim {
  public:
-  PCSetSim(const Netlist& nl, std::span<const NetId> monitored = {})
-      : nl_(nl),
-        compiled_(compile_pcset(nl, monitored, false, static_cast<int>(sizeof(Word) * 8))),
-        runner_(compiled_.program) {}
-
-  PCSetSim(const Netlist& nl, std::span<const NetId> monitored,
-           const CompileGuard& guard)
+  PCSetSim(const Netlist& nl, std::span<const NetId> monitored = {},
+           const CompileGuard& guard = {})
       : nl_(nl),
         compiled_(compile_pcset(nl, monitored, false,
                                 static_cast<int>(sizeof(Word) * 8), guard)),

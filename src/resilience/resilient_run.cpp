@@ -105,8 +105,8 @@ ResilientResult run_batch_resilient(const Simulator& sim,
     return r;
   }
 
-  std::vector<ArenaProbe> probes = sim.output_probes();
   if (opts.validate) {
+    const std::vector<ArenaProbe> probes = sim.output_probes();
     const ValidateOptions vopts{.probes = probes};
     Diagnostics local;
     Diagnostics& vdiag = opts.diag ? *opts.diag : local;
@@ -115,19 +115,14 @@ ResilientResult run_batch_resilient(const Simulator& sim,
     }
   }
 
-  if (program->input_words != nl.primary_inputs().size()) {
-    throw std::logic_error(
-        "run_batch_resilient: program is not in scalar input mode");
-  }
-
-  BatchRunner runner(*program, std::move(probes),
-                     BatchOptions{.num_threads = opts.num_threads,
-                                  .metrics = opts.metrics,
-                                  .cancel = opts.cancel,
-                                  .inject = opts.inject,
-                                  .retry_limit = opts.retry_limit,
-                                  .diag = opts.diag,
-                                  .trace_id = opts.trace_id});
+  // The engine's own kernel: the native module when it has one.
+  BatchRunner runner(sim, BatchOptions{.num_threads = opts.num_threads,
+                                       .metrics = opts.metrics,
+                                       .cancel = opts.cancel,
+                                       .inject = opts.inject,
+                                       .retry_limit = opts.retry_limit,
+                                       .diag = opts.diag,
+                                       .trace_id = opts.trace_id});
   ResilientBatch b = runner.run_resilient(vectors, count, opts.resume);
   r.status = b.status;
   r.batch.values = std::move(b.values);

@@ -192,13 +192,15 @@ SimService::HealthReport SimService::health() const {
   return r;
 }
 
-std::string SimService::health_json() const {
-  const HealthReport r = health();
+namespace {
+
+/// The health document shared by health_json() and status_json()'s
+/// "health" block.
+JsonValue health_to_json(const SimService::HealthReport& r) {
   JsonValue doc = JsonValue::make_object();
-  doc.set("state",
-          JsonValue::make_string(health_state_name(r.state)));
+  doc.set("state", JsonValue::make_string(health_state_name(r.state)));
   JsonValue comps = JsonValue::make_array();
-  for (const HealthComponent& c : r.components) {
+  for (const SimService::HealthComponent& c : r.components) {
     JsonValue jc = JsonValue::make_object();
     jc.set("name", JsonValue::make_string(c.name));
     jc.set("state", JsonValue::make_string(health_state_name(c.state)));
@@ -206,7 +208,13 @@ std::string SimService::health_json() const {
     comps.array.push_back(std::move(jc));
   }
   doc.set("components", std::move(comps));
-  return doc.dump(2);
+  return doc;
+}
+
+}  // namespace
+
+std::string SimService::health_json() const {
+  return health_to_json(health()).dump(2);
 }
 
 std::vector<bool> SimService::good_outcome_slots() {
@@ -240,19 +248,7 @@ std::string SimService::status_json() const {
           JsonValue::make_uint(metrics_.counter("service.submitted").value()));
   doc.set("service", std::move(svc));
 
-  JsonValue health_doc = JsonValue::make_object();
-  health_doc.set("state",
-                 JsonValue::make_string(health_state_name(hr.state)));
-  JsonValue comps = JsonValue::make_array();
-  for (const HealthComponent& c : hr.components) {
-    JsonValue jc = JsonValue::make_object();
-    jc.set("name", JsonValue::make_string(c.name));
-    jc.set("state", JsonValue::make_string(health_state_name(c.state)));
-    jc.set("detail", JsonValue::make_string(c.detail));
-    comps.array.push_back(std::move(jc));
-  }
-  health_doc.set("components", std::move(comps));
-  doc.set("health", std::move(health_doc));
+  doc.set("health", health_to_json(hr));
 
   // Cumulative exactly-once outcome counters: one key per Outcome, always
   // present (0 included) so consumers can sum without existence checks.

@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -375,6 +376,35 @@ TEST(SimulatorFacade, RunBatchMatchesStepReplayForEveryEngine) {
     const BatchResult again = sim->run_batch(flat, 2);
     EXPECT_EQ(r.values, again.values) << engine_name(kind);
   }
+}
+
+// Batches borrow the one process-wide pool instead of spawning threads per
+// call: a second two-shard batch runs on threads the first one used, and a
+// one-shard batch runs inline on the caller.
+TEST(SimulatorFacade, RunBatchReusesPoolThreadsAndRunsOneShardInline) {
+  const Netlist nl = test_dag(97);
+  const auto sim = make_simulator(nl, EngineKind::ParallelCombined);
+  MetricsRegistry reg;
+  sim->set_metrics(&reg);
+  const auto in = random_inputs(nl.primary_inputs().size(), 64, 970);
+  const auto shard_tids = [&] {
+    std::set<std::uint32_t> tids;
+    for (const TraceEvent& e : reg.trace_events()) {
+      if (e.name == "batch.shard") tids.insert(e.tid);
+    }
+    reg.clear_trace();
+    return tids;
+  };
+  (void)sim->run_batch(in, 2);
+  const std::set<std::uint32_t> first = shard_tids();
+  (void)sim->run_batch(in, 2);
+  const std::set<std::uint32_t> second = shard_tids();
+  ASSERT_FALSE(second.empty());
+  for (std::uint32_t tid : second) {
+    EXPECT_EQ(first.count(tid), 1u) << "shard ran on new thread " << tid;
+  }
+  (void)sim->run_batch(in, 1);
+  EXPECT_EQ(shard_tids(), std::set<std::uint32_t>{trace_thread_id()});
 }
 
 TEST(SimulatorFacade, RunBatchRejectsRaggedStream) {

@@ -9,7 +9,9 @@
 // Also covered here: the object cache (hit/miss counters, shared-object
 // reuse), the whole-stream `udsim_kernel_run` entry vs the per-vector step
 // loop, the Simulator facade (exec.ops == compile.ops × passes, batch
-// equivalence), and cooperative cancellation at native sites.
+// equivalence), cooperative cancellation at native sites, and native
+// batches through BatchRunner (threads, retry, checkpoint/resume, and proof
+// that the resilient and service paths run the loaded kernel).
 //
 // Every test skips (not fails) when the machine has no usable C compiler.
 #include <gtest/gtest.h>
@@ -17,6 +19,8 @@
 #include <unistd.h>
 
 #include <filesystem>
+#include <fstream>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -26,9 +30,14 @@
 #include "ir/executor.h"
 #include "lcc/lcc.h"
 #include "native/native_sim.h"
+#include "oracle/oracle.h"
 #include "parsim/parallel_sim.h"
 #include "pcsim/pcset_sim.h"
 #include "resilience/cancel.h"
+#include "resilience/checkpoint.h"
+#include "resilience/fault_injection.h"
+#include "resilience/resilient_run.h"
+#include "service/sim_service.h"
 
 namespace udsim {
 namespace {
@@ -250,9 +259,7 @@ TEST(NativeSimulatorTest, StepMatchesParallelCombinedFacade) {
 TEST(NativeSimulatorTest, RunBatchMatchesStepLoopAndCountsChunks) {
   SKIP_WITHOUT_NATIVE();
   const Netlist nl = make_iscas85_like("c499", 1);
-  NativeOptions opts = test_native_options();
-  opts.batch_chunk = 4;
-  NativeSimulator sim(nl, opts);
+  NativeSimulator sim(nl, test_native_options());
   MetricsRegistry reg;
   sim.set_metrics(&reg);
 
@@ -268,7 +275,7 @@ TEST(NativeSimulatorTest, RunBatchMatchesStepLoopAndCountsChunks) {
   }
   const BatchResult batch = sim.run_batch(stream, /*num_threads=*/3);
   EXPECT_EQ(batch.vectors, kVectors);
-  EXPECT_EQ(batch.threads, 1u) << "native batch is in-process sequential";
+  EXPECT_EQ(batch.threads, 3u) << "native batches shard like every compiled engine";
 
   auto oracle = make_simulator(nl, EngineKind::ParallelCombined);
   for (std::size_t v = 0; v < kVectors; ++v) {
@@ -278,8 +285,11 @@ TEST(NativeSimulatorTest, RunBatchMatchesStepLoopAndCountsChunks) {
           << "vector " << v << " output " << o;
     }
   }
-  // 10 vectors / chunk 4 → boundaries at v = 0, 4, 8.
-  EXPECT_EQ(reg.snapshot().at("native.batch.chunks"), 3u);
+  // The batch ran through BatchRunner (its counters, not a loop of its own).
+  const auto snap = reg.snapshot();
+  EXPECT_EQ(snap.at("batch.passes"), kVectors);
+  EXPECT_EQ(snap.at("exec.ops"), sim.compiled().program.ops.size() * kVectors);
+  EXPECT_EQ(snap.count("native.batch.chunks"), 0u);
 }
 
 TEST(NativeSimulatorTest, ExecOpsEqualsCompileOpsTimesPasses) {
@@ -353,6 +363,7 @@ TEST(NativeCancelTest, StepThrowsAtNativeStepSite) {
   }
 }
 
+// The cancel site of a native batch is BatchRunner's (polled per pass).
 TEST(NativeCancelTest, RunBatchThrowsAtChunkBoundary) {
   SKIP_WITHOUT_NATIVE();
   const Netlist nl = make_iscas85_like("c432", 1);
@@ -365,7 +376,7 @@ TEST(NativeCancelTest, RunBatchThrowsAtChunkBoundary) {
     (void)sim.run_batch(stream, 1);
     FAIL() << "expected Cancelled";
   } catch (const Cancelled& c) {
-    EXPECT_EQ(c.site(), "native.batch");
+    EXPECT_EQ(c.site(), "batch.run");
     EXPECT_EQ(c.vector_index(), 0u) << "pre-cancelled: stop before vector 0";
   }
 }
@@ -380,6 +391,176 @@ TEST(NativeCancelTest, RunStreamThrowsAtNativeRunSite) {
   const std::vector<std::uint32_t> words(2 * sim.compiled().program.input_words,
                                          0);
   EXPECT_THROW(sim.run_stream(words, 2), Cancelled);
+}
+
+// ---------------------------------------------------------------------------
+// Native batches through BatchRunner: every batch entry point steps the
+// dlopen'd kernel, with threads, shard retry and checkpoint/resume.
+
+std::vector<Bit> xorshift_stream(const Netlist& nl, std::size_t vectors,
+                                 std::uint64_t seed) {
+  std::vector<Bit> stream(vectors * nl.primary_inputs().size());
+  std::uint64_t x = seed | 1;
+  for (Bit& b : stream) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    b = static_cast<Bit>(x & 1);
+  }
+  return stream;
+}
+
+/// Settled primary outputs of every vector, row-major, from the oracle.
+std::vector<Bit> oracle_rows(const Netlist& nl, const std::vector<Bit>& stream) {
+  OracleSim oracle(nl);
+  const std::size_t pis = nl.primary_inputs().size();
+  std::vector<Bit> rows;
+  for (std::size_t v = 0; v * pis < stream.size(); ++v) {
+    oracle.step(std::span<const Bit>(stream).subspan(v * pis, pis));
+    for (NetId po : nl.primary_outputs()) rows.push_back(oracle.state(po));
+  }
+  return rows;
+}
+
+TEST(NativeBatchTest, ResilientRunMatchesOracleAtEveryThreadCount) {
+  SKIP_WITHOUT_NATIVE();
+  const Netlist nl = make_iscas85_like("c880", 1);
+  MetricsRegistry compile_reg;
+  const NativeSimulator sim(nl, test_native_options(),
+                            CompileGuard{.metrics = &compile_reg});
+  const std::uint64_t compile_ops = compile_reg.snapshot().at("compile.ops");
+  ASSERT_NE(compile_ops, 0u);
+  const std::vector<Bit> stream = xorshift_stream(nl, 100, 11);
+  const std::vector<Bit> expect = oracle_rows(nl, stream);
+  for (unsigned nt : {1u, 2u, 5u}) {
+    MetricsRegistry reg;
+    const ResilientResult r = run_batch_resilient(
+        sim, stream, ResilientOptions{.num_threads = nt, .metrics = &reg});
+    ASSERT_EQ(r.status, RunStatus::Complete) << "threads " << nt;
+    EXPECT_EQ(r.batch.threads, nt);
+    EXPECT_EQ(r.batch.values, expect) << "threads " << nt;
+    const auto snap = reg.snapshot();
+    EXPECT_EQ(snap.at("batch.passes"), 100u) << "threads " << nt;
+    EXPECT_EQ(snap.at("exec.ops"), compile_ops * snap.at("batch.passes"))
+        << "threads " << nt;
+  }
+}
+
+TEST(NativeBatchTest, PlantedWorkerThrowIsRetried) {
+  SKIP_WITHOUT_NATIVE();
+  const Netlist nl = make_iscas85_like("c432", 1);
+  const NativeSimulator sim(nl, test_native_options());
+  const std::vector<Bit> stream = xorshift_stream(nl, 64, 5);
+  FaultInjector inject(3);
+  inject.add_site({FaultSite::WorkerThrow, 1, 40, 0});
+  const ResilientResult r = run_batch_resilient(
+      sim, stream, ResilientOptions{.num_threads = 2, .inject = &inject});
+  ASSERT_EQ(r.status, RunStatus::Complete);
+  EXPECT_EQ(inject.fired(FaultSite::WorkerThrow), 1u);
+  EXPECT_EQ(r.retries, 1u);
+  EXPECT_EQ(r.quarantined, 0u);
+  EXPECT_EQ(r.batch.values, oracle_rows(nl, stream));
+}
+
+TEST(NativeBatchTest, DeadlineCheckpointResumesOnNativeAndOnIr) {
+  SKIP_WITHOUT_NATIVE();
+  const Netlist nl = make_iscas85_like("c499", 1);
+  const NativeSimulator sim(nl, test_native_options());
+  const std::vector<Bit> stream = xorshift_stream(nl, 96, 9);
+  const std::vector<Bit> expect = oracle_rows(nl, stream);
+  // Two shards of 48 vectors; stop the second one mid-stream.
+  FaultInjector inject(1);
+  inject.add_site({FaultSite::DeadlineOverrun, 1, 60, 0});
+  const ResilientResult stopped = run_batch_resilient(
+      sim, stream, ResilientOptions{.num_threads = 2, .inject = &inject});
+  ASSERT_EQ(stopped.status, RunStatus::DeadlineExpired);
+  ASSERT_TRUE(stopped.resumable);
+  EXPECT_EQ(stopped.vectors_done, 48u + 12u);
+  const BatchCheckpoint ck =
+      checkpoint_from_bytes(checkpoint_to_bytes(stopped.checkpoint));
+
+  const ResilientResult resumed = run_batch_resilient(
+      sim, stream, ResilientOptions{.num_threads = 2, .resume = &ck});
+  ASSERT_EQ(resumed.status, RunStatus::Complete);
+  EXPECT_EQ(resumed.batch.values, expect);
+
+  // Same program, same arena: the IR engine resumes the native checkpoint.
+  const auto ir = make_simulator(nl, EngineKind::ParallelCombined);
+  const ResilientResult on_ir = run_batch_resilient(
+      *ir, stream, ResilientOptions{.num_threads = 2, .resume = &ck});
+  ASSERT_EQ(on_ir.status, RunStatus::Complete);
+  EXPECT_EQ(on_ir.batch.values, expect);
+}
+
+/// Fresh per-test directory under this binary's cache root.
+std::string fresh_native_dir(const std::string& tag) {
+  const std::string dir = test_cache_dir() + "-" + tag;
+  std::error_code ec;
+  fs::create_directories(dir, ec);
+  return dir;
+}
+
+// A compiler wrapper that builds the emitted C with one probed output bit
+// flipped after every kernel pass: rows that show the flip can only have
+// come from the loaded module, never from the IR executor.
+TEST(NativeBatchTest, BatchRowsComeFromTheLoadedKernel) {
+  SKIP_WITHOUT_NATIVE();
+  const Netlist nl = make_iscas85_like("c432", 1);
+  ParallelOptions base;
+  base.trimming = true;
+  base.shift_elim = ShiftElim::PathTracing;
+  base.word_bits = 32;
+  const auto probe = compile_parallel(nl, base).final_probe(nl.primary_outputs()[0]);
+
+  NativeOptions opts = test_native_options();
+  opts.cache_dir = fresh_native_dir("flip");
+  const std::string cc = opts.cache_dir + "/flipcc.sh";
+  {
+    std::ofstream f(cc);
+    f << "#!/bin/sh\n"
+         "out=\n"
+         "for a in \"$@\"; do src=$a; done\n"
+         "while [ $# -gt 0 ]; do\n"
+         "  if [ \"$1\" = \"-o\" ]; then out=$2; shift; fi\n"
+         "  shift\n"
+         "done\n"
+         "sed 's/udsim_kernel(/udsim_kernel_real(/g' \"$src\" > \"$out.flip.c\"\n"
+         "echo 'void udsim_kernel(uint32_t *a, const uint32_t *in) {"
+         " udsim_kernel_real(a, in); a["
+      << probe.word << "] ^= 1u << " << unsigned{probe.bit}
+      << "; }' >> \"$out.flip.c\"\n"
+         "exec "
+      << resolved_compiler(test_native_options())
+      << " -O0 -shared -fPIC -o \"$out\" \"$out.flip.c\"\n";
+  }
+  fs::permissions(cc, fs::perms::owner_all, fs::perm_options::replace);
+  opts.compiler = cc;
+
+  const std::vector<Bit> stream = xorshift_stream(nl, 40, 21);
+  std::vector<Bit> flipped = oracle_rows(nl, stream);
+  const std::size_t outs = nl.primary_outputs().size();
+  for (std::size_t i = 0; i < flipped.size(); i += outs) flipped[i] ^= 1;
+
+  const NativeSimulator sim(nl, opts);
+  EXPECT_EQ(sim.run_batch(stream, 2).values, flipped);
+  for (unsigned nt : {1u, 2u, 5u}) {
+    const ResilientResult r =
+        run_batch_resilient(sim, stream, ResilientOptions{.num_threads = nt});
+    ASSERT_EQ(r.status, RunStatus::Complete);
+    EXPECT_EQ(r.batch.values, flipped) << "threads " << nt;
+  }
+
+  // A service request served by the Native engine runs the same module.
+  ServiceConfig cfg;
+  cfg.enable_native = true;
+  cfg.native = opts;
+  SimService svc(cfg);
+  const SessionId sid = svc.open_session("flip");
+  const SimResponse resp = svc.run(
+      sid, SimRequest{.netlist = std::make_shared<Netlist>(nl), .vectors = stream});
+  ASSERT_EQ(resp.outcome, Outcome::Completed) << resp.detail;
+  EXPECT_EQ(resp.engine, EngineKind::Native);
+  EXPECT_EQ(resp.batch.values, flipped);
 }
 
 }  // namespace
