@@ -57,15 +57,23 @@ std::string_view run_status_name(RunStatus s) noexcept {
 }
 
 BatchRunner::BatchRunner(const Simulator& sim, BatchOptions options)
-    : BatchRunner(batch_program(sim), sim.output_probes(), std::move(options)) {
-  native_ = sim.native_module();
-}
+    : BatchRunner(batch_program(sim), sim.output_probes(), std::move(options),
+                  sim.lane_class(), sim.pass_extras(), sim.native_module()) {}
 
 BatchRunner::BatchRunner(const Program& program, std::vector<ArenaProbe> probes,
                          BatchOptions options)
+    : BatchRunner(program, std::move(probes), std::move(options),
+                  lane_class(program), {}, nullptr) {}
+
+BatchRunner::BatchRunner(
+    const Program& program, std::vector<ArenaProbe> probes, BatchOptions options,
+    LaneClass program_lanes,
+    const std::vector<std::pair<std::string, std::uint64_t>>& extras,
+    const NativeModule* native)
     : program_(program),
       probes_(std::move(probes)),
       options_(std::move(options)),
+      native_(native),
       threads_(options_.num_threads == 0 ? ThreadPool::hardware_threads()
                                          : options_.num_threads) {
   if (!width_available(program_.word_bits)) {
@@ -85,35 +93,71 @@ BatchRunner::BatchRunner(const Program& program, std::vector<ArenaProbe> probes,
     }
   }
   if (options_.min_chunk == 0) options_.min_chunk = 1;
-  // Lanes as shards: a lane-independent program settles one vector per bit
-  // lane, as long as every output is read from lane 0 of the scalar run.
+  // A lane-packed program settles one vector per bit lane, as long as every
+  // output is read from lane 0 of the scalar run.
   const bool probes_lane0 = std::all_of(
       probes_.begin(), probes_.end(), [](const ArenaProbe& p) { return p.bit == 0; });
-  if (probes_lane0 && lanes_independent(program_)) {
+  if (probes_lane0 && program_lanes != LaneClass::Scalar) {
+    layout_ = program_lanes;
     lanes_ = static_cast<unsigned>(program_.word_bits);
   }
-  exec_ = ExecCounters::attach(options_.metrics, program_, options_.extra_pass_cost);
+  exec_ = ExecCounters::attach(options_.metrics, program_, extras);
 }
 
 std::size_t BatchRunner::shard_count(std::size_t num_vectors) const noexcept {
   if (num_vectors == 0) return 0;
-  const std::size_t passes = (num_vectors + lanes_ - 1) / lanes_;
+  const std::size_t passes = shard_passes(num_vectors);
   const std::size_t chunk = (options_.min_chunk + lanes_ - 1) / lanes_;
   const std::size_t by_threads = threads_;
   const std::size_t by_chunk = (passes + chunk - 1) / chunk;
   return std::max<std::size_t>(1, std::min(by_threads, by_chunk));
 }
 
+BatchRunner::PassRows BatchRunner::pass_rows(const ShardSlot& slot,
+                                             std::size_t pass) const noexcept {
+  const std::size_t n = slot.end - slot.begin;
+  switch (layout_) {
+    case LaneClass::Independent:
+      return {slot.begin + pass * lanes_,
+              std::min<std::size_t>(lanes_, n - pass * lanes_), 1};
+    case LaneClass::Stateful: {
+      // Lane k runs chunk k, vectors [kC, kC + C) of the shard; the lanes
+      // whose chunk still has a vector at offset `pass` form a prefix.
+      const std::size_t c = shard_passes(n);
+      return {slot.begin + pass, (n - pass + c - 1) / c, c};
+    }
+    case LaneClass::Scalar:
+      break;
+  }
+  return {slot.begin + pass, 1, 1};
+}
+
+template <class F>
+void BatchRunner::for_each_settled(const ShardSlot& slot, std::size_t passes,
+                                   F&& f) const {
+  const std::size_t n = slot.end - slot.begin;
+  // Stateful lanes settle a prefix of every chunk, the others a prefix of
+  // the shard.
+  const std::size_t chunk = layout_ == LaneClass::Stateful ? shard_passes(n) : n;
+  const std::size_t prefix =
+      layout_ == LaneClass::Stateful ? passes : std::min(n, passes * lanes_);
+  for (std::size_t first = 0; first < n; first += chunk) {
+    const std::size_t len = std::min(prefix, n - first);
+    for (std::size_t q = 0; q < len; ++q) f(slot.begin + first + q);
+  }
+}
+
 template <class Word>
 void BatchRunner::run_shard(std::span<const Bit> inputs, std::size_t shard_index,
                             ShardSlot& slot, std::span<Bit> out,
                             unsigned attempt) {
-  if (slot.next >= slot.end) return;  // resumed already-finished shard
+  const std::size_t total = shard_passes(slot.end - slot.begin);
+  if (slot.passes >= total) return;  // resumed already-finished shard
   const std::size_t iw = program_.input_words;
   MetricsRegistry* const reg = options_.metrics;
   FaultInjector* const inj = options_.inject;
   const std::uint64_t t0 = reg ? shard_now_ns() : 0;
-  const std::size_t start = slot.next;
+  const std::size_t start = slot.passes;
   // Pool threads re-enter the request's trace scope from the explicitly
   // threaded id, so the shard's span — opened next — tags itself with the
   // "request" arg like the submitter-thread spans do.
@@ -126,7 +170,7 @@ void BatchRunner::run_shard(std::span<const Bit> inputs, std::size_t shard_index
   span.arg("end", slot.end);
   span.arg("attempt", attempt);
 
-  if (inj && inj->fire(FaultSite::AllocFail, shard_index, start, attempt)) {
+  if (inj && inj->fire(FaultSite::AllocFail, shard_index, slot.next, attempt)) {
     metric_add(reg, "resil.injected", 1);
     throw std::bad_alloc();
   }
@@ -145,6 +189,14 @@ void BatchRunner::run_shard(std::span<const Bit> inputs, std::size_t shard_index
       row[i] = static_cast<Word>(std::uint64_t{src[i] & 1u});
     }
   };
+  // Lane k of the input words <- bit 0 of rows[k * row_stride ...], k < lanes.
+  const auto load_lanes = [&](const Bit* rows, std::size_t row_stride,
+                              std::size_t lanes) {
+    pack_lanes(rows, row_stride, iw, lanes, staged.data(), kL);
+    for (std::size_t i = 0; i < iw; ++i) {
+      row[i] = word_from_u64_lanes<Word>(&staged[i * kL]);
+    }
+  };
   // One kernel pass over `row`: the engine's native module (same program,
   // same arena) when it has one, else the IR executor.
   const auto step = [&] {
@@ -154,56 +206,81 @@ void BatchRunner::run_shard(std::span<const Bit> inputs, std::size_t shard_index
       runner.run(row);
     }
   };
-  // One executor pass settling vectors [v, v + n): n == 1 unless packed.
-  const auto pass = [&](std::size_t v, std::size_t n) {
-    Bit* dst = out.data() + v * cols;
+  // One payload pass settling the vectors of `pr`.
+  const auto pass = [&](const PassRows& pr) {
+    Bit* dst = out.data() + pr.first * cols;
     if (!packed) {
-      load(v);
+      load(pr.first);
       step();
       for (std::size_t j = 0; j < cols; ++j) {
         dst[j] = static_cast<Bit>(word_bit(arena[probes_[j].word], probes_[j].bit));
       }
       return;
     }
-    pack_lanes(inputs.data() + v * iw, iw, n, staged.data(), kL);
-    for (std::size_t i = 0; i < iw; ++i) {
-      row[i] = word_from_u64_lanes<Word>(&staged[i * kL]);
-    }
+    load_lanes(inputs.data() + pr.first * iw, pr.step * iw, pr.lanes);
     step();
     for (std::size_t j = 0; j < cols; ++j) {
       for (std::size_t l = 0; l < kL; ++l) {
         staged[j * kL + l] = word_u64_lane(arena[probes_[j].word], l);
       }
     }
-    unpack_lanes(staged.data(), kL, cols, n, dst);
+    unpack_lanes(staged.data(), kL, cols, pr.lanes, dst, pr.step * cols);
   };
-  bool seam = false;
-  if (start > slot.begin) {
-    // Resume: the checkpointed arena IS the retained state after vector
-    // start-1; restoring it replaces the seam replay. Packed passes retain
-    // nothing.
-    if (!packed) runner.load_arena(slot.arena);
-  } else if (slot.begin > 0 && !packed) {
+  // Predecessor vectors the seam pass replayed (outputs discarded).
+  std::size_t seam_vectors = 0;
+  if (start > 0) {
+    // Resume: the checkpointed arena IS the retained state after pass
+    // start-1; restoring it replaces the seam replay. Independent lanes
+    // retain nothing.
+    if (layout_ != LaneClass::Independent) runner.load_arena(slot.arena);
+  } else if (layout_ == LaneClass::Stateful) {
+    // Seam pass: lane k replays the vector before its chunk, begin + kC - 1,
+    // which re-establishes the retained state that chunk starts from.
+    const PassRows first = pass_rows(slot, 0);
+    const bool head = slot.begin == 0;  // lane 0 starts from the reset arena
+    if (first.lanes > 1 || !head) {
+      std::vector<Bit> seam_rows(first.lanes * iw, 0);
+      for (std::size_t k = head ? 1 : 0; k < first.lanes; ++k) {
+        const Bit* src = inputs.data() + (first.first + k * first.step - 1) * iw;
+        std::copy(src, src + iw, seam_rows.begin() + static_cast<std::ptrdiff_t>(k * iw));
+      }
+      std::vector<Word> reset;
+      if (head) reset.assign(arena, arena + program_.arena_words);
+      load_lanes(seam_rows.data(), iw, first.lanes);
+      step();
+      if (head) {
+        // Lane-0 reset blend: lane 0 has no predecessor, so its bits return
+        // to the initial arena while lanes 1.. keep their seam state.
+        const Word lane0 = static_cast<Word>(std::uint64_t{1});
+        for (std::size_t w = 0; w < program_.arena_words; ++w) {
+          arena[w] = static_cast<Word>((arena[w] & static_cast<Word>(~lane0)) |
+                                       (reset[w] & lane0));
+        }
+      }
+      seam_vectors = first.lanes - (head ? 1 : 0);
+    }
+  } else if (layout_ == LaneClass::Scalar && slot.begin > 0) {
     // Seam replay: the predecessor shard's final vector re-establishes the
     // retained state (previous-vector settled values); outputs discarded.
     load(slot.begin - 1);
     step();
-    seam = true;
+    seam_vectors = 1;
   }
 
   CancelPoll poll(options_.cancel);
-  std::size_t v = start;
-  std::uint64_t passes = 0;
+  std::size_t p = start;
+  std::uint64_t vectors = 0;  // settled by this attempt's payload passes
   StopReason stop = StopReason::None;
   // Shared exit accounting so the fault-throwing paths count their executed
   // passes exactly like the clean path does.
   const auto account = [&] {
     if (!reg) return;
     // Payload counters: thread-count invariant.
-    exec_.on_passes(passes, v - start);
+    const std::uint64_t passes = p - start;
+    exec_.on_passes(passes, vectors);
     reg->counter("batch.passes").add(passes);
-    if (seam) {
-      reg->counter("batch.seam_vectors").add(1);
+    if (seam_vectors != 0) {
+      reg->counter("batch.seam_vectors").add(seam_vectors);
       reg->counter("batch.seam_ops").add(exec_.cost.ops);
     }
     const std::uint64_t elapsed = shard_now_ns() - t0;
@@ -217,44 +294,47 @@ void BatchRunner::run_shard(std::span<const Bit> inputs, std::size_t shard_index
   };
 
   // Polls and fault sites apply once per pass; a planted site fires on the
-  // pass whose vectors [v, v + n) cover it.
-  while (v < slot.end) {
-    const std::size_t n = std::min<std::size_t>(lanes_, slot.end - v);
+  // pass that settles its vector.
+  while (p < total) {
+    const PassRows pr = pass_rows(slot, p);
     stop = poll.poll();  // one relaxed load + branch (dead branch when null)
     if (inj != nullptr) {
-      if (stop == StopReason::None &&
-          inj->fire(FaultSite::DeadlineOverrun, shard_index, v, attempt, n)) {
+      const auto fire = [&](FaultSite site) {
+        return inj->fire(site, shard_index, pr.first, attempt, pr.lanes, pr.step);
+      };
+      if (stop == StopReason::None && fire(FaultSite::DeadlineOverrun)) {
         metric_add(reg, "resil.injected", 1);
         stop = StopReason::Deadline;
       }
-      if (inj->fire(FaultSite::WorkerThrow, shard_index, v, attempt, n)) {
+      if (fire(FaultSite::WorkerThrow)) {
         metric_add(reg, "resil.injected", 1);
         account();
-        throw InjectedFault(FaultSite::WorkerThrow, shard_index, v, attempt);
+        throw InjectedFault(FaultSite::WorkerThrow, shard_index, pr.first, attempt);
       }
-      if (inj->fire(FaultSite::ArenaCorrupt, shard_index, v, attempt, n)) {
+      if (fire(FaultSite::ArenaCorrupt)) {
         metric_add(reg, "resil.injected", 1);
         if (program_.arena_words != 0) {
-          arena[v % program_.arena_words] ^=
+          arena[pr.first % program_.arena_words] ^=
               static_cast<Word>(0xdeadbeefdeadbeefull);
         }
         account();
         // The corruption is trapped immediately (standing in for a detected
         // memory fault); the retry restarts from a fresh seam-replayed
         // arena, so the shard's final outputs stay bit-identical.
-        throw InjectedFault(FaultSite::ArenaCorrupt, shard_index, v, attempt);
+        throw InjectedFault(FaultSite::ArenaCorrupt, shard_index, pr.first, attempt);
       }
     }
     if (stop != StopReason::None) break;
-    pass(v, n);
-    v += n;
-    ++passes;
+    pass(pr);
+    vectors += pr.lanes;
+    ++p;
   }
 
-  slot.next = v;
+  slot.next += vectors;
+  slot.passes = p;
   slot.stop = stop;
-  if (stop != StopReason::None && v > slot.begin && !packed) {
-    // The one piece of cross-vector state; packed passes retain none.
+  if (stop != StopReason::None && p > 0 && layout_ != LaneClass::Independent) {
+    // The one piece of cross-vector state, every lane of it.
     runner.save_arena(slot.arena);
   } else {
     slot.arena.clear();
@@ -350,7 +430,7 @@ ResilientBatch BatchRunner::run_resilient(std::span<const Bit> inputs,
   }
 
   // Whole passes per shard, spread as evenly as they divide.
-  const std::size_t passes = (num_vectors + lanes_ - 1) / lanes_;
+  const std::size_t passes = shard_passes(num_vectors);
   const std::size_t quot = passes / shards;
   const std::size_t rem = passes % shards;
   std::vector<ShardSlot> slots(shards);
@@ -373,6 +453,10 @@ ResilientBatch BatchRunner::run_resilient(std::span<const Bit> inputs,
       geometry("program shape differs");
     }
     if (resume->probe_count != probes_.size()) geometry("probe count differs");
+    if (resume->lanes != lanes_) {
+      geometry("taken at " + std::to_string(resume->lanes) + " lanes, not " +
+               std::to_string(lanes_));
+    }
     if (resume->num_vectors != num_vectors) geometry("vector count differs");
     if (resume->shards.size() != shards) {
       geometry("shard count differs (thread count or min_chunk changed)");
@@ -380,26 +464,38 @@ ResilientBatch BatchRunner::run_resilient(std::span<const Bit> inputs,
     const std::size_t cols = probes_.size();
     for (std::size_t s = 0; s < shards; ++s) {
       const ShardCheckpoint& sc = resume->shards[s];
-      if (sc.begin != slots[s].begin || sc.end != slots[s].end) {
+      ShardSlot& slot = slots[s];
+      if (sc.begin != slot.begin || sc.end != slot.end) {
         geometry("shard " + std::to_string(s) + " boundaries differ");
       }
-      const bool mid_stream = sc.next > sc.begin && sc.next < sc.end;
-      if (mid_stream && lanes_ == 1 && sc.arena.size() != carrier_words(program_)) {
+      const auto corrupt = [&](const std::string& what) {
         throw CheckpointError(CheckpointError::Kind::Corrupt,
-                              "checkpoint shard " + std::to_string(s) +
-                                  " is mid-stream but carries no arena");
+                              "checkpoint shard " + std::to_string(s) + " " + what);
+      };
+      const std::size_t total = shard_passes(slot.end - slot.begin);
+      std::size_t settled = 0;
+      if (sc.passes <= total) {
+        for_each_settled(slot, sc.passes, [&](std::size_t) { ++settled; });
       }
-      if (mid_stream && (sc.next - sc.begin) % lanes_ != 0) {
-        throw CheckpointError(CheckpointError::Kind::Corrupt,
-                              "checkpoint shard " + std::to_string(s) +
-                                  " stops inside a " + std::to_string(lanes_) +
-                                  "-lane pass");
+      if (sc.passes > total || sc.next - sc.begin != settled ||
+          sc.rows.size() != settled * cols) {
+        corrupt("progress does not match " + std::to_string(sc.passes) + " " +
+                std::to_string(lanes_) + "-lane passes");
       }
-      slots[s].next = sc.next;
-      slots[s].arena = sc.arena;
-      std::copy(sc.rows.begin(), sc.rows.end(),
-                result.values.begin() +
-                    static_cast<std::ptrdiff_t>(sc.begin * cols));
+      const bool mid_stream = sc.passes > 0 && sc.passes < total;
+      if (mid_stream && layout_ != LaneClass::Independent &&
+          sc.arena.size() != carrier_words(program_)) {
+        corrupt("is mid-stream but carries no arena");
+      }
+      slot.next = sc.next;
+      slot.passes = sc.passes;
+      slot.arena = sc.arena;
+      const Bit* row = sc.rows.data();
+      for_each_settled(slot, sc.passes, [&](std::size_t v) {
+        std::copy(row, row + cols,
+                  result.values.begin() + static_cast<std::ptrdiff_t>(v * cols));
+        row += cols;
+      });
     }
     metric_add(reg, "resil.resumes", 1);
     if (options_.diag) {
@@ -438,10 +534,12 @@ ResilientBatch BatchRunner::run_resilient(std::span<const Bit> inputs,
                   options_.retry_limit + 1);
   }
 
+  std::size_t passes_done = 0;
   for (const ShardSlot& slot : slots) {
     result.retries += slot.retries;
     result.quarantined += slot.quarantined ? 1 : 0;
     result.vectors_done += slot.next - slot.begin;
+    passes_done += slot.passes;
   }
 
   StopReason reason = StopReason::None;
@@ -452,6 +550,15 @@ ResilientBatch BatchRunner::run_resilient(std::span<const Bit> inputs,
     }
   }
   if (reason == StopReason::None) {
+    // Always-on invariant: a completed run settled every vector in exactly
+    // the planned payload passes, whatever the threads, retries or resume.
+    if (passes_done != passes || result.vectors_done != num_vectors) {
+      throw std::logic_error(
+          "BatchRunner: completed run settled " +
+          std::to_string(result.vectors_done) + "/" + std::to_string(num_vectors) +
+          " vectors in " + std::to_string(passes_done) + "/" +
+          std::to_string(passes) + " passes");
+    }
     result.status = RunStatus::Complete;
     return result;
   }
@@ -461,14 +568,15 @@ ResilientBatch BatchRunner::run_resilient(std::span<const Bit> inputs,
   metric_add(reg, reason == StopReason::Cancelled ? "resil.cancelled"
                                                   : "resil.deadline",
              1);
-  // Assemble the resumable snapshot: per shard, the resume point, the
-  // settled arena (mid-stream one-vector-per-pass shards only) and the
-  // completed output rows.
+  // Assemble the resumable snapshot: per shard, the passes run, the settled
+  // arena (mid-stream shards with retained state only) and the completed
+  // output rows.
   BatchCheckpoint& ck = result.checkpoint;
   ck.word_bits = static_cast<std::uint32_t>(program_.word_bits);
   ck.arena_words = program_.arena_words;
   ck.input_words = program_.input_words;
   ck.probe_count = static_cast<std::uint32_t>(probes_.size());
+  ck.lanes = lanes_;
   ck.num_vectors = num_vectors;
   ck.shards.reserve(shards);
   const std::size_t cols = probes_.size();
@@ -477,10 +585,13 @@ ResilientBatch BatchRunner::run_resilient(std::span<const Bit> inputs,
     sc.begin = slot.begin;
     sc.end = slot.end;
     sc.next = slot.next;
+    sc.passes = slot.passes;
     sc.arena = std::move(slot.arena);
-    sc.rows.assign(
-        result.values.begin() + static_cast<std::ptrdiff_t>(slot.begin * cols),
-        result.values.begin() + static_cast<std::ptrdiff_t>(slot.next * cols));
+    sc.rows.reserve((slot.next - slot.begin) * cols);
+    for_each_settled(slot, slot.passes, [&](std::size_t v) {
+      const auto row = result.values.begin() + static_cast<std::ptrdiff_t>(v * cols);
+      sc.rows.insert(sc.rows.end(), row, row + static_cast<std::ptrdiff_t>(cols));
+    });
     ck.shards.push_back(std::move(sc));
   }
   metric_add(reg, "resil.checkpoints", 1);

@@ -11,14 +11,25 @@
 // That one discarded pass is the entire synchronization cost; shards never
 // communicate while running.
 //
-// Lanes as shards (DESIGN.md §5c): a program with no cross-vector state at
-// all and only lane-wise ops (ir/verify.h lanes_independent — today the
-// zero-delay LCC program, which loads whole input words) settles word_bits
-// vectors per pass instead: lane k of a pass carries vector base + k. The
-// stream is block-transposed into input words and the probe words back into
-// rows (core/lane_staging.h). Shard boundaries then fall on multiples of
-// the lane count and need no seam replay; every other program keeps one
-// vector per pass.
+// Lanes (DESIGN.md §5c): a program whose ops are all lane-wise lets one
+// pass settle word_bits vectors, one per bit lane, as long as every output
+// is read from lane 0 of the scalar run. The lane class (ir/verify.h
+// lane_class — computed once per compiled program; a Simulator caches it)
+// picks the layout:
+//  * Scalar — one vector per pass (the parallel technique keeps time in
+//    the bits).
+//  * Independent — no cross-vector state (zero-delay LCC): lane k of a pass
+//    carries vector base + k. Shards need no seam.
+//  * Stateful — lane-wise, but with retained state (PC-set's X_0 = X_max):
+//    a shard [b, e) splits into word_bits contiguous chunks of
+//    C = ceil((e-b) / word_bits) vectors and lane k of pass p carries
+//    vector b + kC + p. One seam pass first loads each lane's predecessor,
+//    b + kC - 1; at b == 0 lane 0 has none, so its bits are then reset to
+//    the initial arena with a lane-0 mask blend.
+// Packed passes block-transpose the stream into input words and the probe
+// words back into rows (core/lane_staging.h), reading strided rows in
+// place. Packed shard boundaries fall on multiples of word_bits, so the
+// pass count ceil(n / word_bits) is the same for every thread count.
 //
 // Determinism guarantee: run() returns the same bits for every thread
 // count, equal to a sequential KernelRunner replay from the reset arena
@@ -47,6 +58,7 @@
 
 #include "core/kernel_runner.h"
 #include "ir/program.h"
+#include "ir/verify.h"
 #include "netlist/logic.h"
 #include "obs/pass_cost.h"
 #include "resilience/cancel.h"
@@ -66,13 +78,12 @@ struct BatchOptions {
   /// exact execution counters (sim.vectors counts vectors; exec.* and
   /// batch.passes count passes, so exec.ops == compile.ops × batch.passes)
   /// — identical for every thread count; the sharding cost itself is
-  /// recorded separately (batch.seam_vectors / batch.seam_ops, per-shard
+  /// recorded separately (batch.seam_vectors counts the predecessor vectors
+  /// replayed, batch.seam_ops the ops of the seam passes; per-shard
   /// batch.shard.* timings) so the payload counters stay a
   /// cross-thread-count invariant. batch.lanes holds the vectors per pass.
+  /// A Simulator-built runner also adds the engine's pass_extras().
   MetricsRegistry* metrics = nullptr;
-  /// Engine-specific per-pass constants added per payload pass (see
-  /// ExecCounters::attach extras).
-  std::vector<std::pair<std::string, std::uint64_t>> extra_pass_cost{};
   /// Cooperative stop: polled once per executor pass (one relaxed load + one
   /// branch; one dead branch when null). run() raises Cancelled; the
   /// resilient entry point returns a checkpoint instead.
@@ -103,8 +114,8 @@ enum class RunStatus : std::uint8_t {
 /// Structured result of BatchRunner::run_resilient. When status is not
 /// Complete, `values` holds valid rows exactly for the vectors recorded in
 /// `checkpoint` (other rows are zero) and `checkpoint` resumes the run
-/// bit-identically under the same geometry (program, vector count, thread
-/// count, min_chunk).
+/// bit-identically under the same geometry (program, lane count, vector
+/// count, thread count, min_chunk).
 struct ResilientBatch {
   RunStatus status = RunStatus::Complete;
   std::vector<Bit> values;
@@ -116,21 +127,23 @@ struct ResilientBatch {
 
 /// Runs a vector stream through one compiled `Program` on a worker pool:
 /// one private KernelRunner arena per shard, seam replay at shard
-/// boundaries (or lanes as shards for lane-independent programs), outputs
-/// merged in submission order. Works over any program the compiled engines
+/// boundaries (or word_bits vectors per pass for lane-packed programs),
+/// outputs merged in submission order. Works over any program the compiled engines
 /// produce (LCC, PC-set, parallel and its optimized variants) at any
 /// dispatched word size (32/64/128/256 bits; wide arenas checkpoint as
 /// word_bits/64 uint64 carrier lanes per word).
 class BatchRunner {
  public:
   /// `probes` are the arena bits to sample after every vector (one output
-  /// column per probe); `program` must outlive the runner.
+  /// column per probe); `program` must outlive the runner. Classifies the
+  /// program's lanes with one scan of its ops.
   BatchRunner(const Program& program, std::vector<ArenaProbe> probes,
               BatchOptions options = {});
 
-  /// Runner over a compiled engine's program, output probes and kernel
-  /// (sim.native_module() when set, else the IR executor; both step the
-  /// same arena). `sim` must outlive the runner.
+  /// Runner over a compiled engine's program, output probes, lane class,
+  /// per-pass counter extras and kernel (sim.native_module() when set,
+  /// else the IR executor; both step the same arena). `sim` must outlive
+  /// the runner.
   explicit BatchRunner(const Simulator& sim, BatchOptions options = {});
 
   /// Run `num_vectors` vectors. `inputs` is row-major with
@@ -151,7 +164,9 @@ class BatchRunner {
   /// bit-identical to an uninterrupted one. Throws CheckpointError
   /// (Kind::Geometry) when `resume` does not match this runner's geometry,
   /// and rethrows a shard's error only after its sequential quarantine
-  /// replay also failed.
+  /// replay also failed. A completed run checks, in every build, that its
+  /// shards ran ceil(n / lanes()) payload passes settling n vectors, and
+  /// throws std::logic_error otherwise.
   [[nodiscard]] ResilientBatch run_resilient(
       std::span<const Bit> inputs, std::size_t num_vectors,
       const BatchCheckpoint* resume = nullptr);
@@ -161,9 +176,14 @@ class BatchRunner {
     return probes_;
   }
 
-  /// Vectors one executor pass settles: the program's word_bits when the
-  /// program is lane-independent and every probe samples bit 0, else 1.
+  /// Vectors one executor pass settles: the program's word_bits when its
+  /// lane class is Independent or Stateful and every probe samples bit 0,
+  /// else 1.
   [[nodiscard]] unsigned lanes() const noexcept { return lanes_; }
+
+  /// The layout the passes use: the program's lane class, or Scalar when a
+  /// probe reads a bit other than 0.
+  [[nodiscard]] LaneClass layout() const noexcept { return layout_; }
 
   /// Shards a run of `num_vectors` would be split into: one per thread,
   /// but never below `min_chunk` vectors each (a seam replay must stay
@@ -177,12 +197,37 @@ class BatchRunner {
   struct ShardSlot {
     std::size_t begin = 0;
     std::size_t end = 0;
-    std::size_t next = 0;             ///< first unexecuted vector
+    std::size_t next = 0;             ///< begin + vectors settled so far
+    std::size_t passes = 0;           ///< payload passes run so far
     std::vector<std::uint64_t> arena; ///< settled arena when mid-stream
     StopReason stop = StopReason::None;
     std::uint64_t retries = 0;
     bool quarantined = false;
   };
+
+  /// The vectors payload pass `pass` of a shard settles: first, first +
+  /// step, ... (`lanes` of them).
+  struct PassRows {
+    std::size_t first = 0;
+    std::size_t lanes = 1;
+    std::size_t step = 1;
+  };
+
+  BatchRunner(const Program& program, std::vector<ArenaProbe> probes,
+              BatchOptions options, LaneClass program_lanes,
+              const std::vector<std::pair<std::string, std::uint64_t>>& extras,
+              const NativeModule* native);
+
+  /// Payload passes a shard of `vectors` vectors takes: ceil(vectors / lanes).
+  [[nodiscard]] std::size_t shard_passes(std::size_t vectors) const noexcept {
+    return (vectors + lanes_ - 1) / lanes_;
+  }
+  [[nodiscard]] PassRows pass_rows(const ShardSlot& slot,
+                                   std::size_t pass) const noexcept;
+  /// Calls f(v) for each vector the first `passes` passes of `slot` settle,
+  /// in ascending order (the checkpoint row order).
+  template <class F>
+  void for_each_settled(const ShardSlot& slot, std::size_t passes, F&& f) const;
 
   template <class Word>
   void run_shard(std::span<const Bit> inputs, std::size_t shard_index,
@@ -199,6 +244,7 @@ class BatchRunner {
   const NativeModule* native_ = nullptr;  ///< null = the IR executor
   unsigned threads_ = 1;  ///< requested thread count, 0 resolved
   unsigned lanes_ = 1;    ///< vectors per pass (see lanes())
+  LaneClass layout_ = LaneClass::Scalar;  ///< see layout()
   ExecCounters exec_;  ///< payload-pass counters (disengaged without metrics)
 };
 

@@ -57,8 +57,8 @@ void transpose64(std::uint64_t* a) noexcept {
 
 }  // namespace
 
-void pack_lanes(const Bit* rows, std::size_t cols, std::size_t lanes,
-                std::uint64_t* words, std::size_t stride) {
+void pack_lanes(const Bit* rows, std::size_t row_stride, std::size_t cols,
+                std::size_t lanes, std::uint64_t* words, std::size_t stride) {
   alignas(64) std::uint64_t block[64];
   for (std::size_t c0 = 0; c0 < cols; c0 += 64) {
     const std::size_t ncols = std::min<std::size_t>(64, cols - c0);
@@ -70,7 +70,7 @@ void pack_lanes(const Bit* rows, std::size_t cols, std::size_t lanes,
         continue;
       }
       for (std::size_t r = 0; r < nrows; ++r) {
-        const Bit* src = rows + (k0 + r) * cols + c0;
+        const Bit* src = rows + (k0 + r) * row_stride + c0;
         std::uint64_t bits = 0;
         std::size_t c = 0;
         for (; c + 8 <= ncols; c += 8) bits |= gather8(load_bytes(src + c, 8)) << c;
@@ -85,7 +85,8 @@ void pack_lanes(const Bit* rows, std::size_t cols, std::size_t lanes,
 }
 
 void unpack_lanes(const std::uint64_t* words, std::size_t stride,
-                  std::size_t cols, std::size_t lanes, Bit* out) {
+                  std::size_t cols, std::size_t lanes, Bit* out,
+                  std::size_t row_stride) {
   alignas(64) std::uint64_t block[64];
   for (std::size_t c0 = 0; c0 < cols; c0 += 64) {
     const std::size_t ncols = std::min<std::size_t>(64, cols - c0);
@@ -96,7 +97,7 @@ void unpack_lanes(const std::uint64_t* words, std::size_t stride,
       std::fill(block + ncols, block + 64, std::uint64_t{0});
       transpose64(block);
       for (std::size_t r = 0; r < nrows; ++r) {
-        Bit* dst = out + (k0 + r) * cols + c0;
+        Bit* dst = out + (k0 + r) * row_stride + c0;
         const std::uint64_t bits = block[r];
         std::size_t c = 0;
         for (; c + 8 <= ncols; c += 8) {

@@ -18,16 +18,20 @@
 namespace udsim {
 
 /// Stage-in. For k < `lanes` and c < `cols`, bit k % 64 of
-/// words[c * stride + k / 64] becomes bit 0 of rows[k * cols + c]. All
+/// words[c * stride + k / 64] becomes bit 0 of rows[k * row_stride + c]. All
 /// other bits of the `stride` words of each column are zeroed, so a partial
-/// pass leaves its unused lanes at 0. Requires lanes <= 64 * stride.
-void pack_lanes(const Bit* rows, std::size_t cols, std::size_t lanes,
-                std::uint64_t* words, std::size_t stride);
+/// pass leaves its unused lanes at 0. Requires lanes <= 64 * stride and
+/// row_stride >= cols (row_stride > cols reads every n-th row of a stream
+/// in place).
+void pack_lanes(const Bit* rows, std::size_t row_stride, std::size_t cols,
+                std::size_t lanes, std::uint64_t* words, std::size_t stride);
 
 /// Stage-out, the mirror of pack_lanes: for k < `lanes` and c < `cols`,
-/// out[k * cols + c] becomes bit k % 64 of words[c * stride + k / 64]
-/// (0 or 1). Rows at or past `lanes` are not written.
+/// out[k * row_stride + c] becomes bit k % 64 of words[c * stride + k / 64]
+/// (0 or 1). Rows at or past `lanes`, and the bytes between rows, are not
+/// written.
 void unpack_lanes(const std::uint64_t* words, std::size_t stride,
-                  std::size_t cols, std::size_t lanes, Bit* out);
+                  std::size_t cols, std::size_t lanes, Bit* out,
+                  std::size_t row_stride);
 
 }  // namespace udsim

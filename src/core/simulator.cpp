@@ -41,10 +41,10 @@ std::string_view engine_name(EngineKind k) noexcept {
   return "?";
 }
 
-BatchResult run_compiled_batch(
-    const Simulator& sim, std::span<const Bit> vectors,
-    const BatchRunOptions& opts, const CancelToken* cancel,
-    std::vector<std::pair<std::string, std::uint64_t>> extra_pass_cost) {
+BatchResult run_compiled_batch(const Simulator& sim,
+                               std::span<const Bit> vectors,
+                               const BatchRunOptions& opts,
+                               const CancelToken* cancel) {
   const std::size_t count = batch_vector_count(sim.netlist(), vectors);
   // Per-run overrides beat the instance-wide attachments (see
   // BatchRunOptions): a shared cached engine stays immutable while each
@@ -52,7 +52,6 @@ BatchResult run_compiled_batch(
   BatchRunner batch(sim, BatchOptions{
                              .num_threads = opts.num_threads,
                              .metrics = opts.metrics ? opts.metrics : sim.metrics(),
-                             .extra_pass_cost = std::move(extra_pass_cost),
                              .cancel = opts.cancel ? opts.cancel : cancel,
                          });
   BatchResult r;
@@ -77,23 +76,14 @@ const Program* batch_program(const ParallelSim<W>& e) { return &e.compiled().pro
 template <class W>
 const Program* batch_program(const LccSim<W>& e) { return &e.program(); }
 
-// Engine-specific per-pass constants for the batch layer's execution
-// counters (only the parallel technique has trimming extras).
-template <class Engine>
-std::vector<std::pair<std::string, std::uint64_t>> batch_extras(const Engine& e) {
-  if constexpr (requires { e.metric_extras(); }) {
-    return e.metric_extras();
-  } else {
-    return {};
-  }
-}
-
 template <class Engine>
 class EngineAdapter final : public Simulator {
  public:
   template <class... Args>
   EngineAdapter(EngineKind kind, const Netlist& nl, Args&&... args)
-      : kind_(kind), nl_(nl), engine_(nl, std::forward<Args>(args)...) {}
+      : kind_(kind), nl_(nl), engine_(nl, std::forward<Args>(args)...) {
+    if (const Program* p = batch_program(engine_)) lane_class_ = udsim::lane_class(*p);
+  }
 
   void step(std::span<const Bit> pi_values) override { engine_.step(pi_values); }
   [[nodiscard]] EngineKind kind() const noexcept override { return kind_; }
@@ -112,6 +102,17 @@ class EngineAdapter final : public Simulator {
 
   [[nodiscard]] const Program* compiled_program() const noexcept override {
     return batch_program(engine_);
+  }
+  [[nodiscard]] LaneClass lane_class() const noexcept override {
+    return lane_class_;
+  }
+  [[nodiscard]] std::vector<std::pair<std::string, std::uint64_t>> pass_extras()
+      const override {
+    if constexpr (requires { engine_.metric_extras(); }) {
+      return engine_.metric_extras();
+    } else {
+      return {};
+    }
   }
   [[nodiscard]] std::vector<ArenaProbe> output_probes() const override {
     std::vector<ArenaProbe> probes;
@@ -140,8 +141,7 @@ class EngineAdapter final : public Simulator {
   [[nodiscard]] BatchResult run_batch(std::span<const Bit> vectors,
                                       const BatchRunOptions& opts) const override {
     if (batch_program(engine_) != nullptr) {
-      return run_compiled_batch(*this, vectors, opts, cancel_,
-                                batch_extras(engine_));
+      return run_compiled_batch(*this, vectors, opts, cancel_);
     }
     const std::size_t count = batch_vector_count(nl_, vectors);
     MetricsRegistry* metrics = opts.metrics ? opts.metrics : metrics_;
@@ -180,6 +180,7 @@ class EngineAdapter final : public Simulator {
   EngineKind kind_;
   const Netlist& nl_;
   Engine engine_;
+  LaneClass lane_class_ = LaneClass::Scalar;
   MetricsRegistry* metrics_ = nullptr;
   const CancelToken* cancel_ = nullptr;
 };

@@ -11,6 +11,7 @@
 #include "analysis/compile_budget.h"
 #include "core/engine_kind.h"
 #include "core/kernel_runner.h"
+#include "ir/verify.h"
 #include "native/native_backend.h"
 #include "netlist/diagnostics.h"
 #include "netlist/netlist.h"
@@ -125,6 +126,21 @@ class Simulator {
     return nullptr;
   }
 
+  /// Lane class of compiled_program() (ir/verify.h), computed once when the
+  /// engine was built so a batch does not rescan the program per call;
+  /// Scalar for the interpreted event engines.
+  [[nodiscard]] virtual LaneClass lane_class() const noexcept {
+    return LaneClass::Scalar;
+  }
+
+  /// Engine-specific constants each executor pass adds to the exec.*
+  /// counters beyond what the Program itself implies (the parallel
+  /// technique's trimming extras); BatchRunner attaches them.
+  [[nodiscard]] virtual std::vector<std::pair<std::string, std::uint64_t>>
+  pass_extras() const {
+    return {};
+  }
+
   /// Arena bits holding each primary output's settled value, in netlist
   /// primary-output order; empty for engines without a compiled program.
   [[nodiscard]] virtual std::vector<ArenaProbe> output_probes() const = 0;
@@ -151,10 +167,10 @@ class Simulator {
 
 /// run_batch of every compiled engine: one BatchRunner over `sim`, with
 /// `opts.cancel` / `opts.metrics` overriding `cancel` / sim.metrics().
-[[nodiscard]] BatchResult run_compiled_batch(
-    const Simulator& sim, std::span<const Bit> vectors,
-    const BatchRunOptions& opts, const CancelToken* cancel,
-    std::vector<std::pair<std::string, std::uint64_t>> extra_pass_cost);
+[[nodiscard]] BatchResult run_compiled_batch(const Simulator& sim,
+                                             std::span<const Bit> vectors,
+                                             const BatchRunOptions& opts,
+                                             const CancelToken* cancel);
 
 /// Construct an engine over `nl` (which must already have wired nets
 /// lowered; see lower_wired_nets). The executor lane width is resolved by

@@ -52,7 +52,7 @@ std::string verify_program(const Program& p, const VerifyOptions& opts) {
   return {};
 }
 
-bool lanes_independent(const Program& p) {
+LaneClass lane_class(const Program& p) {
   std::vector<bool> written(p.arena_words, false);
   std::vector<bool> read_first(p.arena_words, false);
   const auto read = [&](std::uint32_t w) {
@@ -62,27 +62,36 @@ bool lanes_independent(const Program& p) {
   };
   for (const Op& op : p.ops) {
     const OpShape s = op_shape(op.code);
-    if (!s.lane_wise || op.dst >= p.arena_words) return false;
-    if (s.reads_a_arena && !read(op.a)) return false;
-    if (s.reads_b && !read(op.b)) return false;
-    if (s.reads_dst && !read(op.dst)) return false;
+    if (!s.lane_wise || op.dst >= p.arena_words) return LaneClass::Scalar;
+    if (s.reads_a_arena && !read(op.a)) return LaneClass::Scalar;
+    if (s.reads_b && !read(op.b)) return LaneClass::Scalar;
+    if (s.reads_dst && !read(op.dst)) return LaneClass::Scalar;
     written[op.dst] = true;
   }
   // A word read before the pass writes it carries the previous pass's value
-  // — unless no op ever writes it, in which case it holds its init value
-  // (zero when absent) on every pass, the same in every lane if uniform.
+  // (retained state) — unless no op ever writes it, in which case it holds
+  // its init value on every pass, the same in every lane if uniform.
   std::vector<std::uint64_t> init(p.arena_words, 0);
   for (const Program::InitWord& iw : p.arena_init) {
     if (iw.index < p.arena_words) init[iw.index] = iw.value;
   }
   const std::uint64_t ones =
       p.word_bits == 32 ? std::uint64_t{0xffffffffu} : ~std::uint64_t{0};
+  bool retains = false;
   for (std::uint32_t w = 0; w < p.arena_words; ++w) {
     if (!read_first[w]) continue;
     const std::uint64_t v = init[w] & ones;
-    if (written[w] || (v != 0 && v != ones)) return false;
+    if (written[w]) {
+      retains = true;
+    } else if (v != 0 && v != ones) {
+      return LaneClass::Scalar;
+    }
   }
-  return true;
+  return retains ? LaneClass::Stateful : LaneClass::Independent;
+}
+
+bool lanes_independent(const Program& p) {
+  return lane_class(p) == LaneClass::Independent;
 }
 
 }  // namespace udsim

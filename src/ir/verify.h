@@ -77,13 +77,28 @@ struct VerifyOptions {
 /// description of the first problem found.
 [[nodiscard]] std::string verify_program(const Program& p, const VerifyOptions& opts = {});
 
-/// True when every bit lane of the program computes independently of the
-/// others and of earlier passes, so one pass can settle word_bits unrelated
-/// input vectors, one per lane. Holds when every op is lane-wise (no shift,
-/// funnel, bit extract/broadcast or single-bit load) and no arena word is
-/// read in a pass before that pass writes it — except words no op ever
-/// writes whose init value is all-zeros or all-ones (the same constant in
-/// every lane). One scan of the op vector.
+/// How many input vectors one pass of a program can settle (DESIGN.md §5c).
+enum class LaneClass : std::uint8_t {
+  /// One vector per pass: some op mixes lanes (shift, funnel, bit extract
+  /// or broadcast, single-bit load), or a never-written word's init value
+  /// differs between lanes.
+  Scalar,
+  /// Every op is lane-wise and no pass reads a word an earlier pass wrote:
+  /// word_bits unrelated vectors per pass, one per lane.
+  Independent,
+  /// Every op is lane-wise, but some words are read before the pass writes
+  /// them — the retained state of the previous vector (PC-set's
+  /// `X_0 = X_max` copies). Each lane still computes on its own, so a lane
+  /// can carry its own contiguous run of the stream.
+  Stateful,
+};
+
+/// Classify `p` in one scan of the op vector. Words no op writes must hold
+/// an init value (zero when absent) that is the same in every lane — all
+/// zeros or all ones — for either lane-packed class.
+[[nodiscard]] LaneClass lane_class(const Program& p);
+
+/// lane_class(p) == LaneClass::Independent.
 [[nodiscard]] bool lanes_independent(const Program& p);
 
 }  // namespace udsim

@@ -22,17 +22,13 @@ ParallelOptions native_base_options() {
 /// Engine label of the base program in the cache key.
 constexpr const char* kBaseLabel = "parallel-combined";
 
-std::vector<std::pair<std::string, std::uint64_t>> native_extras(
-    const ParallelCompiled& c) {
-  return {{"exec.trimmed_stores_skipped", c.stats.suppressed_stores},
-          {"exec.gap_words_filled", c.trim.gap_words}};
-}
-
 }  // namespace
 
 NativeSimulator::NativeSimulator(const Netlist& nl, const NativeOptions& opts,
                                  const CompileGuard& guard)
-    : nl_(nl), compiled_(compile_parallel(nl, native_base_options(), guard)) {
+    : nl_(nl),
+      compiled_(compile_parallel(nl, native_base_options(), guard)),
+      lane_class_(udsim::lane_class(compiled_.program)) {
   module_ = std::make_unique<NativeModule>(compiled_.program, kBaseLabel, opts,
                                            guard.metrics);
   arena_.resize(compiled_.program.arena_words);
@@ -43,7 +39,7 @@ NativeSimulator::~NativeSimulator() = default;
 
 void NativeSimulator::set_metrics(MetricsRegistry* reg) noexcept {
   metrics_ = reg;
-  exec_ = ExecCounters::attach(reg, compiled_.program, native_extras(compiled_));
+  exec_ = ExecCounters::attach(reg, compiled_.program, pass_extras());
 }
 
 void NativeSimulator::set_cancel(const CancelToken* token) noexcept {
@@ -83,8 +79,13 @@ ProgramProfile NativeSimulator::program_profile(std::size_t top_k) const {
 BatchResult NativeSimulator::run_batch(std::span<const Bit> vectors,
                                        const BatchRunOptions& opts) const {
   // Each shard steps a fresh arena with module_; arena_ is untouched.
-  return run_compiled_batch(*this, vectors, opts, poll_.token(),
-                            native_extras(compiled_));
+  return run_compiled_batch(*this, vectors, opts, poll_.token());
+}
+
+std::vector<std::pair<std::string, std::uint64_t>> NativeSimulator::pass_extras()
+    const {
+  return {{"exec.trimmed_stores_skipped", compiled_.stats.suppressed_stores},
+          {"exec.gap_words_filled", compiled_.trim.gap_words}};
 }
 
 void NativeSimulator::run_stream(std::span<const std::uint32_t> in,

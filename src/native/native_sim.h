@@ -46,6 +46,11 @@ class NativeSimulator final : public Simulator {
   [[nodiscard]] const NativeModule* native_module() const noexcept override {
     return module_.get();
   }
+  [[nodiscard]] LaneClass lane_class() const noexcept override {
+    return lane_class_;
+  }
+  [[nodiscard]] std::vector<std::pair<std::string, std::uint64_t>> pass_extras()
+      const override;
   [[nodiscard]] std::vector<ArenaProbe> output_probes() const override;
   [[nodiscard]] ProgramProfile program_profile(std::size_t top_k) const override;
   void set_cancel(const CancelToken* token) noexcept override;
@@ -66,6 +71,7 @@ class NativeSimulator final : public Simulator {
   const Netlist& nl_;
   ParallelCompiled compiled_;
   std::unique_ptr<NativeModule> module_;
+  LaneClass lane_class_;
   std::vector<std::uint32_t> arena_;
   std::vector<std::uint32_t> in_;
   ExecCounters exec_;

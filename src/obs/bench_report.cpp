@@ -159,7 +159,7 @@ BenchReport run_bench_report(
         // fallback would produce a row labeled with a width it never ran.
         if (!width_available(w)) continue;
         // "lcc-packed": zero-delay LCC at this lane width, which run_batch
-        // runs one vector per lane (lanes as shards, DESIGN.md §5c).
+        // runs one vector per lane (independent lanes, DESIGN.md §5c).
         BenchEngineResult row =
             measure_engine(*nl, EngineKind::ZeroDelayLcc, 1, stream, cfg, w);
         row.engine = "lcc-packed";

@@ -7,10 +7,14 @@
 // exactly as in paper Fig. 4. The output routine is the PRINT pseudo-gate:
 // one output vector per element of the union of the monitored nets' PC-sets.
 //
-// Because every op is bitwise, the same program simulates 32 (or 64)
+// Because every op is bitwise, the same program simulates word_bits
 // *independent vector streams* at once when inputs are packed one stream per
 // bit-lane — the data-parallel extension the paper notes the PC-set method
-// is amenable to (and the parallel technique is not).
+// is amenable to (and the parallel technique is not). PCSetSim therefore
+// compiles with whole-word input loads: step() masks its inputs to bit 0, so
+// scalar results are unchanged, while run_batch lets each lane carry its own
+// contiguous chunk of the stream, the retained `X_0 = X_max` state included
+// (stateful lanes, core/batch_runner.h).
 #pragma once
 
 #include <span>
@@ -62,15 +66,15 @@ struct PCSetCompiled {
                                           bool packed, int word_bits,
                                           const CompileGuard& guard);
 
-/// Runtime wrapper (scalar mode): steps vectors, exposes the value history
-/// of monitored nets.
+/// Runtime wrapper: steps one vector at a time (bit 0 of each lane-packed
+/// word), exposes the value history of monitored nets.
 template <class Word = std::uint32_t>
 class PCSetSim {
  public:
   PCSetSim(const Netlist& nl, std::span<const NetId> monitored = {},
            const CompileGuard& guard = {})
       : nl_(nl),
-        compiled_(compile_pcset(nl, monitored, false,
+        compiled_(compile_pcset(nl, monitored, /*packed=*/true,
                                 static_cast<int>(sizeof(Word) * 8), guard)),
         runner_(compiled_.program) {}
 

@@ -111,12 +111,14 @@ std::string checkpoint_to_bytes(const BatchCheckpoint& ck) {
   put_u32(out, ck.arena_words);
   put_u32(out, ck.input_words);
   put_u32(out, ck.probe_count);
+  put_u32(out, ck.lanes);
   put_u64(out, ck.num_vectors);
   put_u32(out, static_cast<std::uint32_t>(ck.shards.size()));
   for (const ShardCheckpoint& s : ck.shards) {
     put_u64(out, s.begin);
     put_u64(out, s.end);
     put_u64(out, s.next);
+    put_u64(out, s.passes);
     out.push_back(s.arena.empty() ? '\0' : '\1');
     if (!s.arena.empty()) {
       for (const std::uint64_t w : s.arena) put_u64(out, w);
@@ -162,32 +164,44 @@ BatchCheckpoint checkpoint_from_bytes(std::string_view bytes) {
   ck.arena_words = r.u32("arena_words");
   ck.input_words = r.u32("input_words");
   ck.probe_count = r.u32("probe_count");
+  ck.lanes = r.u32("lanes");
   ck.num_vectors = r.u64("num_vectors");
   if (ck.word_bits != 32 && ck.word_bits != 64 && ck.word_bits != 128 &&
       ck.word_bits != 256) {
     corrupt("declares word size " + std::to_string(ck.word_bits));
+  }
+  if (ck.lanes == 0 || ck.lanes > ck.word_bits) {
+    corrupt("declares " + std::to_string(ck.lanes) + " lanes for " +
+            std::to_string(ck.word_bits) + "-bit words");
   }
   // Wide words span word_bits/64 uint64 carrier entries each (DESIGN.md §5j).
   const std::uint64_t carrier_words =
       std::uint64_t{ck.arena_words} *
       (ck.word_bits > 64 ? ck.word_bits / 64 : 1);
   const std::uint32_t shard_count = r.u32("shard_count");
-  ck.shards.reserve(std::min<std::uint64_t>(shard_count, r.remaining() / 25));
+  ck.shards.reserve(std::min<std::uint64_t>(shard_count, r.remaining() / 33));
   std::uint64_t expect_begin = 0;
   for (std::uint32_t i = 0; i < shard_count; ++i) {
     ShardCheckpoint s;
     s.begin = r.u64("shard begin");
     s.end = r.u64("shard end");
     s.next = r.u64("shard next");
+    s.passes = r.u64("shard passes");
     if (s.begin != expect_begin || s.end < s.begin || s.end > ck.num_vectors) {
       corrupt("shard " + std::to_string(i) + " bounds are inconsistent");
     }
     if (s.next < s.begin || s.next > s.end) {
       corrupt("shard " + std::to_string(i) + " progress outside its bounds");
     }
+    // Every pass settles at least one vector and at most `lanes`.
+    const std::uint64_t settled = s.next - s.begin;
+    if ((s.passes == 0) != (settled == 0) || s.passes > settled ||
+        (settled != 0 && (settled - 1) / ck.lanes >= s.passes)) {
+      corrupt("shard " + std::to_string(i) + " pass count does not match its progress");
+    }
     expect_begin = s.end;
-    // A mid-stream shard may carry no arena (a lane-packed run retains no
-    // state); whether the resuming run needs one is BatchRunner's check.
+    // A mid-stream shard may carry no arena (lane-independent passes retain
+    // no state); whether the resuming run needs one is BatchRunner's check.
     if (r.u8("arena flag") != 0) {
       r.need(carrier_words * 8, "shard arena");
       s.arena.resize(carrier_words);

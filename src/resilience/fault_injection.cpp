@@ -48,10 +48,12 @@ InjectedFault::InjectedFault(FaultSite site, std::uint64_t shard,
 
 bool FaultInjector::fires(FaultSite site, std::uint64_t shard,
                           std::uint64_t vector, unsigned attempt,
-                          std::uint64_t vectors) const noexcept {
+                          std::uint64_t vectors,
+                          std::uint64_t step) const noexcept {
   for (const SiteSpec& s : sites_) {
     if (s.site == site && s.shard == shard && s.vector >= vector &&
-        s.vector - vector < vectors && s.attempt == attempt) {
+        (s.vector - vector) % step == 0 && (s.vector - vector) / step < vectors &&
+        s.attempt == attempt) {
       return true;
     }
   }

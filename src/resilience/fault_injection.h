@@ -8,9 +8,11 @@
 // or drawn from a seeded per-ten-thousand-passes rate; both compose.
 //
 // The batch layer asks once per executor pass. A lane-packed pass settles
-// several consecutive vectors (core/batch_runner.h), so the query carries
-// the pass's vector range: a planted site fires on the pass that covers its
-// vector, and the rate draw is keyed by the pass's first vector.
+// several vectors (core/batch_runner.h) — consecutive ones, or one from
+// each lane's chunk `step` vectors apart — so the query carries the pass's
+// vectors as first/count/step: a planted site fires on the pass that
+// settles its vector, and the rate draw is keyed by the pass's first
+// vector.
 //
 // Four fault classes cover the failure modes DESIGN.md §5f enumerates:
 //   WorkerThrow     — the shard body raises InjectedFault mid-stream
@@ -84,16 +86,19 @@ class FaultInjector {
   }
 
   /// Pure decision function for the pass settling vectors
-  /// [vector, vector + vectors); record-free (use fire() on the hot path).
+  /// vector + i * step for i < vectors; record-free (use fire() on the hot
+  /// path).
   [[nodiscard]] bool fires(FaultSite site, std::uint64_t shard,
                            std::uint64_t vector, unsigned attempt,
-                           std::uint64_t vectors = 1) const noexcept;
+                           std::uint64_t vectors = 1,
+                           std::uint64_t step = 1) const noexcept;
 
   /// fires() plus the per-site fired counter bump.
   [[nodiscard]] bool fire(FaultSite site, std::uint64_t shard,
                           std::uint64_t vector, unsigned attempt,
-                          std::uint64_t vectors = 1) noexcept {
-    if (!fires(site, shard, vector, attempt, vectors)) return false;
+                          std::uint64_t vectors = 1,
+                          std::uint64_t step = 1) noexcept {
+    if (!fires(site, shard, vector, attempt, vectors, step)) return false;
     fired_[index(site)].fetch_add(1, std::memory_order_relaxed);
     return true;
   }

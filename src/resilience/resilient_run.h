@@ -71,7 +71,8 @@ struct ResilientOptions {
   MetricsRegistry* metrics = nullptr;
   Diagnostics* diag = nullptr;
   /// Continue a previous early-stopped run; must match this run's geometry
-  /// (program, vector count, thread count) or CheckpointError(Geometry).
+  /// (program, lane count, vector count, thread count) or
+  /// CheckpointError(Geometry).
   const BatchCheckpoint* resume = nullptr;
   /// Run ProgramValidator before the first pass; a rejected program throws
   /// ProgramRejected instead of executing.

@@ -240,12 +240,35 @@ TEST(BatchRunner, LaneIndependenceIsAProgramProperty) {
   const LccCompiled scalar = compile_lcc(nl);
   EXPECT_FALSE(lanes_independent(scalar.program));
   EXPECT_EQ(BatchRunner(scalar.program, lcc_probes(scalar, nl)).lanes(), 1u);
+  EXPECT_EQ(lane_class(packed.program), LaneClass::Independent);
+  EXPECT_EQ(lane_class(scalar.program), LaneClass::Scalar);
   // PC-set retains state across vectors; the parallel technique keeps time
   // in the bits.
   EXPECT_FALSE(lanes_independent(compile_pcset(nl).program));
   for (const ParallelOptions& opt : kParallelVariants) {
     EXPECT_FALSE(lanes_independent(compile_parallel(nl, opt).program));
+    EXPECT_EQ(lane_class(compile_parallel(nl, opt).program), LaneClass::Scalar);
   }
+  // With whole-word loads PC-set's retained state is lane-wise: stateful
+  // lanes, one contiguous chunk of the stream per lane. Single-bit loads
+  // keep it scalar.
+  const PCSetCompiled pc_packed = compile_pcset(nl, {}, /*packed=*/true);
+  const PCSetCompiled pc_scalar = compile_pcset(nl);
+  EXPECT_FALSE(lanes_independent(pc_packed.program));
+  EXPECT_EQ(lane_class(pc_packed.program), LaneClass::Stateful);
+  EXPECT_EQ(lane_class(pc_scalar.program), LaneClass::Scalar);
+  std::vector<ArenaProbe> pc_probes;
+  for (NetId po : nl.primary_outputs()) pc_probes.push_back({pc_packed.final_var(po), 0});
+  const BatchRunner stateful(pc_packed.program, pc_probes);
+  EXPECT_EQ(stateful.layout(), LaneClass::Stateful);
+  EXPECT_EQ(stateful.lanes(), 32u);
+  // The facade classifies once, when the engine is built.
+  EXPECT_EQ(make_simulator(nl, EngineKind::PCSet)->lane_class(), LaneClass::Stateful);
+  EXPECT_EQ(make_simulator(nl, EngineKind::ZeroDelayLcc)->lane_class(),
+            LaneClass::Independent);
+  EXPECT_EQ(make_simulator(nl, EngineKind::ParallelCombined)->lane_class(),
+            LaneClass::Scalar);
+  EXPECT_EQ(make_simulator(nl, EngineKind::Event2)->lane_class(), LaneClass::Scalar);
 
   // Hand-built: an accumulate into a word this pass has not written reads
   // the previous pass's value.
@@ -255,6 +278,7 @@ TEST(BatchRunner, LaneIndependenceIsAProgramProperty) {
   p.input_words = 1;
   p.ops = {{OpCode::LoadWord, 0, 0, 0, 0}, {OpCode::AccOr, 0, 1, 0, 0}};
   EXPECT_FALSE(lanes_independent(p));
+  EXPECT_EQ(lane_class(p), LaneClass::Stateful);
   // Writing the word first makes the same accumulate lane-local.
   p.ops.insert(p.ops.begin() + 1, Op{OpCode::Copy, 0, 1, 0, 0});
   EXPECT_TRUE(lanes_independent(p));
@@ -265,6 +289,7 @@ TEST(BatchRunner, LaneIndependenceIsAProgramProperty) {
   // ...but a mask-like constant differs per lane.
   p.arena_init = {{2, 0x5555u}};
   EXPECT_FALSE(lanes_independent(p));
+  EXPECT_EQ(lane_class(p), LaneClass::Scalar);
 }
 
 TEST(BatchRunner, PackedPathRetriesInjectedFaultsBitIdentically) {
@@ -302,7 +327,9 @@ TEST(BatchRunner, PackedPathRetriesInjectedFaultsBitIdentically) {
 
 TEST(BatchRunner, StagingAgreesWithTheNaiveTranspose) {
   // Block-transpose staging must equal a bit-by-bit transpose, including
-  // partial column chunks, partial lane blocks and zero-filled unused lanes.
+  // partial column chunks, partial lane blocks, zero-filled unused lanes
+  // and strided rows (every gap-th row of a stream, read and written in
+  // place).
   std::uint64_t x = 0x9e3779b97f4a7c15ull;
   const auto next = [&] {
     x ^= x << 13;
@@ -314,27 +341,33 @@ TEST(BatchRunner, StagingAgreesWithTheNaiveTranspose) {
       {1, 1}, {1, 31}, {1, 32}, {1, 64}, {2, 100}, {4, 256}, {4, 200}, {4, 0}};
   for (std::size_t cols : {1u, 7u, 8u, 9u, 36u, 64u, 65u, 130u}) {
     for (const auto& [stride, lanes] : shapes) {
-      // Stream bytes carry junk above bit 0, which staging must ignore.
-      std::vector<Bit> rows(lanes * cols);
-      for (Bit& b : rows) b = static_cast<Bit>(next());
-      std::vector<std::uint64_t> naive(cols * stride, 0);
-      for (std::size_t k = 0; k < lanes; ++k) {
-        for (std::size_t c = 0; c < cols; ++c) {
-          naive[c * stride + k / 64] |=
-              std::uint64_t{rows[k * cols + c] & 1u} << (k % 64);
+      for (std::size_t gap : {1u, 3u}) {
+        // Stream bytes carry junk above bit 0, which staging must ignore.
+        const std::size_t row_stride = gap * cols;
+        std::vector<Bit> rows(lanes * row_stride);
+        for (Bit& b : rows) b = static_cast<Bit>(next());
+        std::vector<std::uint64_t> naive(cols * stride, 0);
+        for (std::size_t k = 0; k < lanes; ++k) {
+          for (std::size_t c = 0; c < cols; ++c) {
+            naive[c * stride + k / 64] |=
+                std::uint64_t{rows[k * row_stride + c] & 1u} << (k % 64);
+          }
         }
-      }
-      const std::string what =
-          "cols=" + std::to_string(cols) + " lanes=" + std::to_string(lanes);
-      std::vector<std::uint64_t> words(cols * stride, ~std::uint64_t{0});
-      pack_lanes(rows.data(), cols, lanes, words.data(), stride);
-      EXPECT_EQ(words, naive) << what;
-      // One spare row past `lanes` must stay untouched.
-      std::vector<Bit> out((lanes + 1) * cols, 0xAA);
-      unpack_lanes(naive.data(), stride, cols, lanes, out.data());
-      for (std::size_t i = 0; i < out.size(); ++i) {
-        const Bit want = i < rows.size() ? static_cast<Bit>(rows[i] & 1u) : 0xAA;
-        ASSERT_EQ(out[i], want) << what << " byte " << i;
+        const std::string what = "cols=" + std::to_string(cols) +
+                                 " lanes=" + std::to_string(lanes) +
+                                 " gap=" + std::to_string(gap);
+        std::vector<std::uint64_t> words(cols * stride, ~std::uint64_t{0});
+        pack_lanes(rows.data(), row_stride, cols, lanes, words.data(), stride);
+        EXPECT_EQ(words, naive) << what;
+        // Bytes between strided rows and one spare row past `lanes` must
+        // stay untouched.
+        std::vector<Bit> out((lanes + 1) * row_stride, 0xAA);
+        unpack_lanes(naive.data(), stride, cols, lanes, out.data(), row_stride);
+        for (std::size_t i = 0; i < out.size(); ++i) {
+          const bool staged = i / row_stride < lanes && i % row_stride < cols;
+          const Bit want = staged ? static_cast<Bit>(rows[i] & 1u) : 0xAA;
+          ASSERT_EQ(out[i], want) << what << " byte " << i;
+        }
       }
     }
   }

@@ -228,9 +228,11 @@ TEST(MetricsInvariant, BatchCountersAreThreadCountInvariant) {
     const CompileGuard guard{CompileBudget{}, nullptr, &compile_reg};
     auto sim = make_simulator(nl, kind, guard);
     const std::uint64_t static_ops = compile_reg.snapshot().at("compile.ops");
-    // Zero-delay LCC packs one vector per lane of its 32-bit words (3
-    // passes, 3 seamless shards); the others run one vector per pass.
-    const bool packed = kind == EngineKind::ZeroDelayLcc;
+    // Zero-delay LCC and PC-set pack one vector per lane of their 32-bit
+    // words (3 passes, at most 3 shards); ParallelCombined runs one vector
+    // per pass.
+    const bool packed = kind != EngineKind::ParallelCombined;
+    const bool stateful = kind == EngineKind::PCSet;
     const std::uint64_t lanes = packed ? 32 : 1;
     const std::uint64_t passes = (kVectors + lanes - 1) / lanes;
 
@@ -255,11 +257,21 @@ TEST(MetricsInvariant, BatchCountersAreThreadCountInvariant) {
       }
       // The sharding cost is visible, just attributed separately.
       EXPECT_EQ(full.at("batch.runs"), 1u);
+      if (threads == 1 && stateful) {
+        // One shard of 90: 30 lanes with 3-vector chunks, one seam pass in
+        // which lanes 1..29 replay their predecessors (lane 0 is reset).
+        EXPECT_EQ(full.at("batch.shards"), 1u);
+        EXPECT_EQ(reg.counter("batch.seam_vectors").value(), 29u);
+        EXPECT_EQ(reg.counter("batch.seam_ops").value(), static_ops);
+      }
       if (threads == 5) {
         EXPECT_EQ(full.at("batch.shards"), packed ? 3u : 5u);
-        EXPECT_EQ(reg.counter("batch.seam_vectors").value(), packed ? 0u : 4u);
+        // PC-set: shards of 32, 32 and 26 one-vector chunks, one seam pass
+        // each; lane 0 of the first shard has no predecessor.
+        EXPECT_EQ(reg.counter("batch.seam_vectors").value(),
+                  stateful ? 31u + 32u + 26u : packed ? 0u : 4u);
         EXPECT_EQ(reg.counter("batch.seam_ops").value(),
-                  packed ? 0u : static_ops * 4);
+                  stateful ? static_ops * 3 : packed ? 0u : static_ops * 4);
       }
     }
   }

@@ -164,11 +164,13 @@ TEST_F(BenchReportFixture, ExactCountersObeyTheCompiledInvariants) {
       ASSERT_TRUE(e.exact.contains("exec.ops")) << c.circuit << "/" << e.engine;
       ASSERT_TRUE(e.exact.contains("compile.ops"));
       ASSERT_TRUE(e.exact.contains("sim.vectors"));
-      // Zero-delay LCC's run_batch retires word_bits vectors per executor
-      // pass (lanes as shards), so the pass count — not the vector count —
-      // scales its dynamic cost.
-      const bool lcc = e.engine == "zero-delay-lcc" || e.engine == "lcc-packed";
-      const std::uint64_t lanes = lcc ? static_cast<std::uint64_t>(e.word_bits) : 1;
+      // Zero-delay LCC's and PC-set's run_batch retire word_bits vectors
+      // per executor pass (lane-packed passes), so the pass count — not the
+      // vector count — scales their dynamic cost.
+      const bool packed = e.engine == "zero-delay-lcc" || e.engine == "lcc-packed" ||
+                          e.engine == "pcset";
+      const std::uint64_t lanes =
+          packed ? static_cast<std::uint64_t>(e.word_bits) : 1;
       EXPECT_EQ(e.exact.at("sim.vectors"), kVectors);
       EXPECT_EQ(e.exact.at("batch.lanes"), lanes) << c.circuit << "/" << e.engine;
       EXPECT_EQ(e.exact.at("batch.passes"), (kVectors + lanes - 1) / lanes)

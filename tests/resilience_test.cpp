@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <map>
 #include <new>
 #include <stdexcept>
 #include <vector>
@@ -12,6 +13,7 @@
 #include "core/batch_runner.h"
 #include "core/simulator.h"
 #include "eventsim/event_sim.h"
+#include "gen/iscas_profiles.h"
 #include "gen/random_dag.h"
 #include "harness/vectors.h"
 #include "lcc/lcc.h"
@@ -281,6 +283,18 @@ TEST(FaultInjector, DecisionsArePureFunctionsOfTheSeed) {
   EXPECT_TRUE(planted.fire(FaultSite::AllocFail, 3, 17, 2));
   EXPECT_EQ(planted.fired(FaultSite::AllocFail), 1u);
   EXPECT_EQ(planted.fired_total(), 1u);
+}
+
+TEST(FaultInjector, StridedPassFiresOnlyOnTheVectorsItSettles) {
+  // A stateful-lanes pass settles first, first + step, ...: one vector from
+  // each lane's chunk.
+  FaultInjector planted(1);
+  planted.add_site({FaultSite::WorkerThrow, 0, 23, 0});
+  EXPECT_TRUE(planted.fires(FaultSite::WorkerThrow, 0, 3, 0, 32, 5));   // 3 + 4*5
+  EXPECT_TRUE(planted.fires(FaultSite::WorkerThrow, 0, 23, 0, 1, 5));
+  EXPECT_FALSE(planted.fires(FaultSite::WorkerThrow, 0, 4, 0, 32, 5));  // 4, 9, ...
+  EXPECT_FALSE(planted.fires(FaultSite::WorkerThrow, 0, 3, 0, 4, 5));   // 3..18
+  EXPECT_FALSE(planted.fires(FaultSite::WorkerThrow, 0, 24, 0, 32, 5));
 }
 
 /// Inject `site` at one (shard, vector) for attempts [0, fail_attempts) and
@@ -594,6 +608,32 @@ TEST(ResilientRun, CompiledEngineCheckpointsAndResumesThroughTheFacade) {
   EXPECT_EQ(resumed.status, RunStatus::Complete);
   EXPECT_EQ(resumed.batch.values, clean.values);
   EXPECT_TRUE(diag.has(DiagCode::CheckpointResumed));
+}
+
+TEST(ResilientRun, ReportsTheSameExecCountersAsRunBatch) {
+  // The runner takes the engine's per-pass extras (the parallel technique's
+  // trimming counters) from the Simulator, so the resilient path reports
+  // exactly what run_batch does.
+  const Netlist nl = make_iscas85_like("c880");
+  const auto flat = bit_stream(nl.primary_inputs().size(), 64, 880);
+  const auto sim = make_simulator(nl, EngineKind::ParallelCombined);
+  const auto exec_counters = [](const MetricsRegistry& reg) {
+    std::map<std::string, std::uint64_t> out;
+    for (const auto& [name, value] : reg.snapshot()) {
+      if (name.rfind("exec.", 0) == 0) out.emplace(name, value);
+    }
+    return out;
+  };
+  MetricsRegistry direct;
+  (void)sim->run_batch(flat, BatchRunOptions{.num_threads = 2, .metrics = &direct});
+  MetricsRegistry resilient;
+  const ResilientResult r = run_batch_resilient(
+      *sim, flat, ResilientOptions{.num_threads = 2, .metrics = &resilient});
+  ASSERT_EQ(r.status, RunStatus::Complete);
+  const auto want = exec_counters(direct);
+  EXPECT_TRUE(want.contains("exec.trimmed_stores_skipped"));
+  EXPECT_TRUE(want.contains("exec.gap_words_filled"));
+  EXPECT_EQ(exec_counters(resilient), want);
 }
 
 TEST(ResilientRun, InterpretedEngineCancelsButIsNotResumable) {

@@ -254,6 +254,15 @@ TEST(ServiceTest, LoadShedDegradesThenRejects) {
   ServiceTicket blocker =
       svc.submit(0, SimRequest{.netlist = heavy, .vectors = heavy_stream});
   ASSERT_TRUE(wait_until_running(svc));
+  // Popped is not yet past the shed decision: wait for the blocker's cache
+  // lookup, which follows it, so the blocker decides at depth 0 and only
+  // the victim below sees the 25% fill.
+  const auto decided = std::chrono::steady_clock::now() + 5s;
+  while (svc.metrics().counter("service.cache.miss").value() == 0 &&
+         std::chrono::steady_clock::now() < decided) {
+    std::this_thread::yield();
+  }
+  ASSERT_EQ(svc.metrics().counter("service.cache.miss").value(), 1u);
   ServiceTicket shed_victim =
       svc.submit(0, SimRequest{.netlist = small, .vectors = small_stream});
   ServiceTicket survivor =

@@ -5,11 +5,14 @@
 // invariant exec.ops == compile.ops × batch.passes holding at every width.
 // Zero-delay LCC's run_batch must reproduce the same rows while retiring
 // word_bits vectors per pass — lanes as shards at every width, thread count
-// and tail length.
+// and tail length — and so must PC-set's stateful lanes, whose retained
+// state the PRINT-grid probes of lane_matrix.h observe.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "core/kernel_runner.h"
@@ -20,6 +23,7 @@
 #include "harness/vectors.h"
 #include "ir/program.h"
 #include "ir/wide_word.h"
+#include "lane_matrix.h"
 #include "lcc/lcc.h"
 #include "obs/metrics.h"
 #include "oracle/oracle.h"
@@ -82,14 +86,15 @@ TEST_P(WidthMatrixTest, EveryEngineAndWidthMatchesTheOracle) {
           << "-bit lanes diverges from the oracle";
 
       // The counters stay exact at every width: a straight-line program
-      // executes every op on every pass, whatever the lane width. LCC's
-      // run_batch settles w vectors per pass.
+      // executes every op on every pass, whatever the lane width. LCC's and
+      // PC-set's run_batch settle w vectors per pass.
       const auto snap = reg.snapshot();
       ASSERT_TRUE(snap.contains("compile.ops"));
       EXPECT_EQ(snap.at("sim.vectors"), kVectors)
           << engine_name(kind) << " @ " << w;
-      const std::size_t lanes =
-          kind == EngineKind::ZeroDelayLcc ? static_cast<std::size_t>(w) : 1;
+      const bool packed =
+          kind == EngineKind::ZeroDelayLcc || kind == EngineKind::PCSet;
+      const std::size_t lanes = packed ? static_cast<std::size_t>(w) : 1;
       EXPECT_EQ(snap.at("batch.passes"), (kVectors + lanes - 1) / lanes)
           << engine_name(kind) << " @ " << w;
       EXPECT_EQ(snap.at("exec.ops"), snap.at("compile.ops") * snap.at("batch.passes"))
@@ -249,6 +254,76 @@ TEST(WidthMatrix, CheckpointCarrierRoundTripsWideArenas) {
   if (width_available(128)) roundtrip_arena_at<u128>(nl);
 #endif
   if (width_available(256)) roundtrip_arena_at<u256>(nl);
+}
+
+TEST(WidthMatrix, StatefulLanesMatchTheOracleAtEveryWidth) {
+  // PC-set at the wide words (32-bit: stateful_lanes_test.cpp): lane k of a
+  // pass carries chunk k of a shard, for every vector count of the matrix
+  // and threads {1, 2, 5}, on the PRINT grid and through the facade.
+  ::unsetenv("UDSIM_FORCE_WIDTH");
+  for (const char* name : {"c432", "c880", "c1908"}) {
+    const Netlist nl = make_iscas85_like(name);
+    for (int w : supported_widths()) {
+      if (w == 32) continue;
+      const std::size_t lanes = static_cast<std::size_t>(w);
+      const std::vector<std::size_t> counts = test::lane_matrix_counts(lanes);
+      const std::size_t longest = *std::max_element(counts.begin(), counts.end());
+      const std::vector<Bit> flat = test::lane_stream(nl, longest, 0x600d + lanes);
+      const test::WaveCase c = test::make_wave_case(nl, w);
+      const std::vector<Bit> wave = test::wave_expect(nl, c, flat, longest);
+      const auto sim = make_simulator(nl, EngineKind::PCSet, w);
+      ASSERT_EQ(sim->compiled_program()->word_bits, w);
+      const std::vector<Bit> finals = test::oracle_final_rows(nl, flat, longest);
+      for (std::size_t n : counts) {
+        for (unsigned nt : {1u, 2u, 5u}) {
+          const std::string what = std::string(name) + " @ " + std::to_string(w) +
+                                   " n=" + std::to_string(n) +
+                                   " threads=" + std::to_string(nt);
+          test::expect_wave_batch(c, flat, n, wave, nt, what);
+          test::expect_facade_batch(*sim, flat, n, finals, nt, what);
+        }
+      }
+    }
+  }
+}
+
+TEST(WidthMatrix, StatefulLanesResumeMidShardAtEveryWidth) {
+  // A deadline on the second pass of the first shard checkpoints every lane
+  // of the wide arena; the resumed run equals the uninterrupted one.
+  ::unsetenv("UDSIM_FORCE_WIDTH");
+  const Netlist nl = make_iscas85_like("c880");
+  for (int w : supported_widths()) {
+    const std::size_t lanes = static_cast<std::size_t>(w);
+    const std::size_t count = 3 * lanes + 5;
+    const std::vector<Bit> flat = test::lane_stream(nl, count, 0x7e57 + lanes);
+    const test::WaveCase c = test::make_wave_case(nl, w);
+    const std::vector<Bit> expect = test::wave_expect(nl, c, flat, count);
+    for (unsigned nt : {1u, 2u, 5u}) {
+      const BatchOptions base{.num_threads = nt, .min_chunk = 1};
+      // Shard 0 holds at least one of the four passes; with two or more its
+      // chunks are long enough to stop on the second pass, else the stop
+      // lands on its only pass.
+      const std::size_t shards = BatchRunner(c.pc.program, c.probes, base).shard_count(count);
+      const std::size_t own = 4 / shards + (4 % shards != 0 ? 1 : 0);
+      const std::size_t chunk = own;  // shard 0 spans own * lanes vectors
+      const std::size_t stop_at = own >= 2 ? chunk + 1 : 0;
+      FaultInjector inject(21);
+      inject.add_site({FaultSite::DeadlineOverrun, 0, stop_at, 0});
+      BatchOptions interrupted = base;
+      interrupted.inject = &inject;
+      BatchRunner first(c.pc.program, c.probes, interrupted);
+      const ResilientBatch stopped = first.run_resilient(flat, count);
+      ASSERT_EQ(stopped.status, RunStatus::DeadlineExpired) << w << "/" << nt;
+      EXPECT_EQ(stopped.checkpoint.lanes, lanes);
+      EXPECT_EQ(stopped.checkpoint.shards[0].passes, own >= 2 ? 1u : 0u);
+      const BatchCheckpoint reloaded =
+          checkpoint_from_bytes(checkpoint_to_bytes(stopped.checkpoint));
+      BatchRunner second(c.pc.program, c.probes, base);
+      const ResilientBatch resumed = second.run_resilient(flat, count, &reloaded);
+      ASSERT_EQ(resumed.status, RunStatus::Complete);
+      EXPECT_EQ(resumed.values, expect) << w << "-bit lanes, " << nt << " threads";
+    }
+  }
 }
 
 }  // namespace
